@@ -5,7 +5,6 @@
 // SSSP as its second kernel.  Same pipeline as the BFS headline: generate,
 // partition 1.5D, run the search keys, validate (reference-free structural
 // rules), report harmonic-mean GTEPS.
-#include "analytics/delta_stepping.hpp"
 #include "analytics/sssp_runner.hpp"
 #include "partition/part15d.hpp"
 #include "bench/common.hpp"
@@ -45,7 +44,7 @@ int main(int argc, char** argv) {
               result.harmonic_gteps);
   std::printf("all runs validated: %s\n", result.all_valid ? "YES" : "NO");
 
-  // Engine comparison: Bellman-Ford-style propagation vs delta-stepping.
+  // Wire format of the L-to-L round at key 0: raw (the default) vs encoded.
   {
     partition::VertexSpace space{cfg.graph.num_vertices(), 4};
     sim::run_spmd(sim::MeshShape{2, 2}, [&](sim::RankContext& ctx) {
@@ -56,27 +55,32 @@ int main(int argc, char** argv) {
       auto deg = partition::compute_local_degrees(ctx, space, slice);
       auto part = partition::build_15d(ctx, space, slice, deg,
                                        cfg.thresholds);
-      graph::Vertex root = result.runs[0].root;
-      ThreadCpuTimer t1;
-      analytics::sssp15d(ctx, part, root, cfg.sssp);
-      double bf = t1.seconds();
-      analytics::DeltaSteppingStats st;
-      ThreadCpuTimer t2;
-      analytics::sssp15d_delta(ctx, part, root, {cfg.sssp, 128}, &st);
-      double ds = t2.seconds();
+      struct Figures {
+        double mb, comm_ms, cpu_ms;
+      };
+      auto measure = [&](bool encoded) {
+        analytics::SsspOptions o = cfg.sssp;
+        o.encoding.enabled = encoded;
+        uint64_t bytes0 = ctx.stats.total_bytes_sent();
+        double comm0 = ctx.stats.total_modeled_s();
+        ThreadCpuTimer t;
+        analytics::sssp15d(ctx, part, result.runs[0].root, o);
+        return Figures{double(ctx.stats.total_bytes_sent() - bytes0) / 1e6,
+                       (ctx.stats.total_modeled_s() - comm0) * 1e3,
+                       t.seconds() * 1e3};
+      };
+      Figures raw = measure(false), enc = measure(true);
       if (ctx.rank == 0)
-        std::printf("\nengines from key 0: Bellman-Ford rounds %.3f ms CPU; "
-                    "delta-stepping (delta=128) %.3f ms CPU, %d buckets, "
-                    "%d light rounds\n",
-                    bf * 1e3, ds * 1e3, st.buckets_processed,
-                    st.light_rounds);
+        std::printf("\nkey 0 on rank 0, raw vs encoded: %.3f vs %.3f MB sent, "
+                    "%.3f vs %.3f ms modeled comm, %.3f vs %.3f ms CPU\n",
+                    raw.mb, enc.mb, raw.comm_ms, enc.comm_ms, raw.cpu_ms,
+                    enc.cpu_ms);
     });
   }
 
   bench::shape_line(
       "the partition built for BFS serves SSSP unchanged; every run passes "
-      "the reference-free distance validation; delta-stepping buckets the "
-      "relaxations exactly as the kernel-3 reference codes do");
+      "the reference-free distance validation");
   bench::report().gauge("kernel3.harmonic_gteps", result.harmonic_gteps);
   bench::report().info("kernel3.all_valid",
                        result.all_valid ? "true" : "false");

@@ -27,6 +27,7 @@ namespace {
 /// dist(u) + w(u, v); the gather keeps the minimum.
 struct RelaxProgram {
   using Value = Dist;
+  static constexpr bool kMinGather = true;
   uint64_t seed;
   Dist max_weight;
 
@@ -57,7 +58,9 @@ std::vector<Dist> sssp15d(sim::RankContext& ctx,
       ctx, options.recovery, [&](sim::ReplayGuard& guard) {
         PropagationEngine<RelaxProgram> engine(
             ctx, part, RelaxProgram{options.weight_seed, options.max_weight},
-            {.incremental = true});
+            {.incremental = true,
+             .encoding = options.encoding,
+             .exchange = options.exchange});
         engine.initialize(
             [&](Vertex v) { return v == root ? Dist(0) : kInfDist; });
         for (int round = 1; round <= (1 << 20); ++round) {

@@ -3,7 +3,10 @@
 #include <span>
 #include <vector>
 
+#include "analytics/propagate.hpp"
 #include "partition/part15d.hpp"
+#include "sim/encoding.hpp"
+#include "sim/exchange.hpp"
 #include "sim/fault.hpp"
 #include "sim/runtime.hpp"
 
@@ -33,7 +36,17 @@ struct SsspOptions {
   /// contribution or a planned rank failure (sim/recover.hpp), with results
   /// bit-identical to a fault-free run.
   sim::RecoveryOptions recovery;
+  /// Wire encoding and exchange plan of the L-to-L relaxation round
+  /// (PropagateOptions).  Raw and direct by default; distances are
+  /// bit-identical under every setting (ctest -L differential).
+  sim::EncodingOptions encoding{.enabled = false};
+  sim::ExchangeOptions exchange{};
 };
+
+/// One cross-rank relaxation: candidate distance `value` for global vertex
+/// `dst` (owned by the receiver).  sssp15d's L-to-L round and mutate/repair
+/// ship it; staged plans keep the minimum per destination in flight.
+using DistMsg = PropagateMsg<Dist, true>;
 
 /// Distances of this rank's owned vertices (kInfDist if unreachable).
 /// Collective.

@@ -331,8 +331,8 @@ RepairStats repair_sssp(sim::RankContext& ctx, const partition::Part1d& part,
     std::span<const analytics::DistMsg> got = ch.dist.exchange(ctx.world, pool);
     for (const analytics::DistMsg& m : got) {
       uint64_t lv = space.to_local(ctx.rank, m.dst);
-      if (m.dist < dist[lv]) {
-        dist[lv] = m.dist;
+      if (m.value < dist[lv]) {
+        dist[lv] = m.value;
         ++stats.relaxations;
         st.enqueue(lv);
       }

@@ -146,8 +146,8 @@ class ReplayGuard {
 };
 
 /// Whole-attempt rollback-and-replay for queries short enough that the
-/// cheapest consistent checkpoint is their initial state (sssp15d,
-/// sssp15d_delta): restoring the checkpoint is re-running the attempt.  Runs
+/// cheapest consistent checkpoint is their initial state (sssp15d):
+/// restoring the checkpoint is re-running the attempt.  Runs
 /// `body(guard)` — one full collective pass over ctx.world — and returns
 /// the first attempt that ends clean on every rank; throws FaultDetected
 /// once the retry budget is spent.  Without the Recover policy the body runs

@@ -7,7 +7,6 @@
 #include <map>
 
 #include "analytics/cc.hpp"
-#include "analytics/delta_stepping.hpp"
 #include "analytics/propagate.hpp"
 #include "analytics/pagerank.hpp"
 #include "analytics/sssp.hpp"
@@ -235,27 +234,35 @@ struct NeighborSumProgram {
   }
 };
 
+// The butterfly round on the non-power-of-two 2x3 mesh routes through fold
+// and unfold hops: a sum gather must still see every contribution, so no
+// hop may merge messages the way min programs allow.
 TEST(Propagate, NonIdempotentGatherCountsEveryArcOnce) {
   Graph500Config cfg;
   cfg.scale = 9;
   cfg.seed = 43;
-  std::vector<uint64_t> got;
-  sim::run_spmd(sim::MeshShape{2, 3}, [&](sim::RankContext& ctx) {
-    auto b = build(ctx, cfg, {64, 16});
-    PropagationEngine<NeighborSumProgram> engine(ctx, b.part, {});
-    engine.initialize([](Vertex v) { return uint64_t(v) + 1; });
-    engine.step();
-    auto gathered = ctx.world.allgatherv(
-        std::span<const uint64_t>(engine.owned_values()));
-    if (ctx.rank == 0) got = std::move(gathered);
-  });
   // Reference SpMV: sum over the symmetric adjacency (self loops twice).
   auto edges = graph::generate_rmat(cfg);
   auto adj = graph::Csr::from_undirected(cfg.num_vertices(), edges);
-  for (uint64_t v = 0; v < cfg.num_vertices(); ++v) {
-    uint64_t want = 0;
-    for (Vertex u : adj.neighbors(v)) want += uint64_t(u) + 1;
-    ASSERT_EQ(got[v], want) << "vertex " << v;
+  for (sim::ExchangeBackend backend :
+       {sim::ExchangeBackend::Direct, sim::ExchangeBackend::Butterfly}) {
+    SCOPED_TRACE(sim::exchange_backend_name(backend));
+    std::vector<uint64_t> got;
+    sim::run_spmd(sim::MeshShape{2, 3}, [&](sim::RankContext& ctx) {
+      auto b = build(ctx, cfg, {64, 16});
+      PropagationEngine<NeighborSumProgram> engine(
+          ctx, b.part, {}, {.exchange = {.backend = backend}});
+      engine.initialize([](Vertex v) { return uint64_t(v) + 1; });
+      engine.step();
+      auto gathered = ctx.world.allgatherv(
+          std::span<const uint64_t>(engine.owned_values()));
+      if (ctx.rank == 0) got = std::move(gathered);
+    });
+    for (uint64_t v = 0; v < cfg.num_vertices(); ++v) {
+      uint64_t want = 0;
+      for (Vertex u : adj.neighbors(v)) want += uint64_t(u) + 1;
+      ASSERT_EQ(got[v], want) << "vertex " << v;
+    }
   }
 }
 
@@ -356,85 +363,6 @@ TEST(PageRank, DampingChangesRanksButNotMass) {
   EXPECT_NEAR(sum_low, 1.0, 1e-6);   // probability mass conserved
   EXPECT_NEAR(sum_high, 1.0, 1e-6);
   EXPECT_GT(diff, 1e-3);             // damping actually matters
-}
-
-// --------------------------------------------------------- delta-stepping
-
-class DeltaSteppingTest : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(DeltaSteppingTest, MatchesDijkstraForAnyDelta) {
-  const uint64_t delta = GetParam();
-  Graph500Config cfg;
-  cfg.scale = 9;
-  cfg.seed = 61;
-  auto edges = graph::generate_rmat(cfg);
-  Vertex root = edges[1].u;
-  std::vector<Dist> got;
-  DeltaSteppingStats stats;
-  sim::run_spmd(sim::MeshShape{2, 2}, [&](sim::RankContext& ctx) {
-    auto b = build(ctx, cfg, {64, 16});
-    DeltaSteppingOptions opts;
-    opts.delta = delta;
-    DeltaSteppingStats st;
-    auto dist = sssp15d_delta(ctx, b.part, root, opts, &st);
-    auto gathered = ctx.world.allgatherv(std::span<const Dist>(dist));
-    if (ctx.rank == 0) {
-      got = std::move(gathered);
-      stats = st;
-    }
-  });
-  auto ref = reference_sssp(cfg.num_vertices(), edges, root);
-  for (uint64_t v = 0; v < cfg.num_vertices(); ++v)
-    ASSERT_EQ(got[v], ref[v]) << "vertex " << v << " delta " << delta;
-  EXPECT_GT(stats.buckets_processed, 0);
-  EXPECT_GE(stats.light_rounds, stats.buckets_processed);
-}
-
-// delta = 1 degenerates toward Dijkstra; delta >= max path weight toward
-// Bellman-Ford; both extremes and the middle must be exact.
-INSTANTIATE_TEST_SUITE_P(Deltas, DeltaSteppingTest,
-                         ::testing::Values(1, 32, 128, 1024, 1u << 20));
-
-TEST(DeltaStepping, AgreesWithPropagationEngineSssp) {
-  Graph500Config cfg;
-  cfg.scale = 10;
-  cfg.seed = 62;
-  std::vector<Dist> a, b2;
-  sim::run_spmd(sim::MeshShape{2, 3}, [&](sim::RankContext& ctx) {
-    auto b = build(ctx, cfg, {128, 32});
-    Vertex root = 5;
-    auto d1 = sssp15d(ctx, b.part, root);
-    auto d2 = sssp15d_delta(ctx, b.part, root);
-    auto g1 = ctx.world.allgatherv(std::span<const Dist>(d1));
-    auto g2 = ctx.world.allgatherv(std::span<const Dist>(d2));
-    if (ctx.rank == 0) {
-      a = std::move(g1);
-      b2 = std::move(g2);
-    }
-  });
-  EXPECT_EQ(a, b2);
-}
-
-TEST(DeltaStepping, BucketCountScalesInverselyWithDelta) {
-  Graph500Config cfg;
-  cfg.scale = 9;
-  cfg.seed = 63;
-  Vertex root = graph::generate_rmat_range(cfg, 1, 2)[0].u;
-  auto run_with = [&](Dist delta) {
-    DeltaSteppingStats stats;
-    sim::run_spmd(sim::MeshShape{1, 2}, [&](sim::RankContext& ctx) {
-      auto b = build(ctx, cfg, {64, 16});
-      DeltaSteppingOptions opts;
-      opts.delta = delta;
-      DeltaSteppingStats st;
-      sssp15d_delta(ctx, b.part, root, opts, &st);
-      if (ctx.rank == 0) stats = st;
-    });
-    return stats;
-  };
-  auto fine = run_with(16);
-  auto coarse = run_with(4096);
-  EXPECT_GT(fine.buckets_processed, coarse.buckets_processed);
 }
 
 }  // namespace

@@ -9,7 +9,7 @@
 #include <span>
 #include <utility>
 
-#include "analytics/delta_stepping.hpp"
+#include "analytics/sssp.hpp"
 #include "bfs/bfs15d.hpp"
 #include "bfs/bfs1d.hpp"
 #include "bfs/bfsasync.hpp"
@@ -514,7 +514,7 @@ TEST(FaultRecovery, RetriesExhaustedGivesUp) {
 // seeded plan — a rank failure plus an alltoallv bit flip — runs through each
 // of them, and the exact FaultStats and give-up text are pinned, so any drift
 // in retry budget, backoff, latch or resent-byte accounting shows here.
-enum class PinEngine { Bfs1d, Bfs15d, Async, Msbfs, Delta };
+enum class PinEngine { Bfs1d, Bfs15d, Async, Msbfs, Sssp };
 
 struct PinCase {
   const char* name;
@@ -551,7 +551,7 @@ PinRun run_pinned(PinEngine engine, const FaultPlan* plan, int max_retries) {
         auto take = [&](const auto& values) {
           mine.assign(values.begin(), values.end());
         };
-        if (engine == PinEngine::Bfs15d || engine == PinEngine::Delta) {
+        if (engine == PinEngine::Bfs15d || engine == PinEngine::Sssp) {
           auto deg = partition::compute_local_degrees(ctx, space, slice);
           partition::DegreeThresholds th;
           th.e = 512;
@@ -564,9 +564,9 @@ PinRun run_pinned(PinEngine engine, const FaultPlan* plan, int max_retries) {
             o.recovery = rec;
             take(bfs::bfs15d_run(ctx, part, root, o).parent);
           } else {
-            analytics::DeltaSteppingOptions o;
-            o.weights.recovery = rec;
-            take(analytics::sssp15d_delta(ctx, part, root, o));
+            analytics::SsspOptions o;
+            o.recovery = rec;
+            take(analytics::sssp15d(ctx, part, root, o));
           }
         } else {
           auto part = partition::build_1d(ctx, space, slice);
@@ -639,13 +639,13 @@ INSTANTIATE_TEST_SUITE_P(
         PinCase{"bfs15d", PinEngine::Bfs15d, 1, 1, 8, 8, 6538, 0.004},
         PinCase{"async", PinEngine::Async, 1, 1, 8, 4, 2454, 0.006},
         PinCase{"msbfs", PinEngine::Msbfs, 1, 1, 8, 4, 4230, 0.006},
-        PinCase{"delta", PinEngine::Delta, 1, 1, 4, 4, 344594, 0.002}),
+        PinCase{"sssp", PinEngine::Sssp, 1, 1, 8, 4, 476448, 0.006}),
     [](const ::testing::TestParamInfo<PinCase>& info) {
       return std::string(info.param.name);
     });
 
-TEST(FaultRecovery, DeltaSteppingRetryBudgetIsTheWeightsRecovery) {
-  // Delta-stepping's one recovery knob is weights.recovery: with no retry
+TEST(FaultRecovery, SsspRetryBudgetIsItsRecoveryOptions) {
+  // sssp15d's one recovery knob is SsspOptions::recovery: with no retry
   // budget, a planned rank failure makes every rank give up.
   Graph500Config cfg;
   cfg.scale = 10;
@@ -667,10 +667,10 @@ TEST(FaultRecovery, DeltaSteppingRetryBudgetIsTheWeightsRecovery) {
         auto deg = partition::compute_local_degrees(ctx, space, slice);
         auto part = partition::build_15d(ctx, space, slice, deg, {512, 32});
         ctx.faults.armed = true;
-        analytics::DeltaSteppingOptions o;
-        o.weights.recovery.max_retries = 0;
+        analytics::SsspOptions o;
+        o.recovery.max_retries = 0;
         try {
-          analytics::sssp15d_delta(ctx, part, root, o);
+          analytics::sssp15d(ctx, part, root, o);
         } catch (const FaultDetected&) {
           gave_up[size_t(ctx.rank)] = 1;
         }
