@@ -72,7 +72,8 @@ int main(int argc, char** argv) {
           "query ids (default 1/32)");
   cli.add("--mutation-seed", "S", "mutation stream seed (default 99)");
   cli.add("--exchange", "direct|butterfly|2dca",
-          "exchange plan for the batched-visit alltoallv (default direct)");
+          "exchange plan for the batched-visit and SSSP alltoallvs (default "
+          "direct)");
   cli.add("--wl-seed", "S", "workload seed (default 1)");
   cli.add("--root-pool", "N", "root pool size (default 64)");
   cli.add("--faults", "LEVEL",
@@ -116,6 +117,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   cfg.msbfs.exchange.backend = backend;
+  cfg.sssp.exchange.backend = backend;
   sim::MeshShape mesh{int(cli.u64("--rows", 2)), int(cli.u64("--cols", 2))};
   sim::Topology topo(mesh);
 

@@ -350,12 +350,26 @@ class Comm {
                            std::vector<size_t>* src_offsets = nullptr) {
     SUNBFS_CHECK(int(to.size()) == size());
     std::vector<T> out;
+    alltoallv_blocks<T>(to, out, src_offsets);
+    return out;
+  }
+
+  /// Personalized all-to-all straight from per-destination buffers:
+  /// `blocks[d]` (d < size()) is the message for participant d, published
+  /// without copying.  The received concatenation is written into `out` as
+  /// in alltoallv_flat, whose fault and accounting behaviour this shares.
+  template <typename T>
+  void alltoallv_blocks(std::span<const std::vector<T>> blocks,
+                        std::vector<T>& out,
+                        std::vector<size_t>* src_offsets = nullptr,
+                        uint64_t* grow_allocs = nullptr) {
+    SUNBFS_CHECK(blocks.size() >= size_t(size()));
     alltoallv_core<T>(
         [&](int d) -> std::pair<const void*, uint64_t> {
-          return {to[size_t(d)].data(), to[size_t(d)].size() * sizeof(T)};
+          const std::vector<T>& b = blocks[size_t(d)];
+          return {b.data(), b.size() * sizeof(T)};
         },
-        out, src_offsets, nullptr);
-    return out;
+        out, src_offsets, grow_allocs);
   }
 
   /// Allocation-free personalized all-to-all over a flat, pre-staged send

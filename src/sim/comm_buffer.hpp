@@ -18,7 +18,8 @@
 /// so these pools keep every buffer's capacity alive across levels and
 /// roots: per-thread per-destination staging lanes feed a
 /// count → exclusive-scan → parallel-fill pass into one flat send buffer,
-/// which Comm::alltoallv_flat publishes without copying.  Each pool counts
+/// which Comm::alltoallv_flat publishes without copying (a raw round with a
+/// single writer publishes its lanes directly instead).  Each pool counts
 /// every capacity growth it performs; after the warmup root the count must
 /// stop moving — that is the `comm.staging_allocs` metric emitted by the
 /// runner (see docs/PERF.md).
@@ -155,6 +156,15 @@ class A2aStaging {
     for (size_t t = 0; t < nthreads_; ++t) {
       allocs_ += lane_allocs_[t];
       lane_allocs_[t] = 0;
+    }
+    // With a single writer, lane d already is destination d's block: a raw,
+    // unmerged round publishes the lanes in place instead of copying them
+    // into the flat send buffer.  Same bytes, same order.
+    if (nthreads_ == 1 && !enc_.enabled &&
+        !(ExchangeFold<T>::enabled && merge_)) {
+      comm.alltoallv_blocks<T>(std::span(lanes_.data(), nparts_), recv_,
+                               &src_offsets_, &allocs_);
+      return recv_;
     }
     if (offsets_.capacity() < nparts_ + 1) ++allocs_;
     offsets_.assign(nparts_ + 1, 0);
