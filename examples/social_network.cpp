@@ -54,7 +54,9 @@ int main(int argc, char** argv) {
     auto l = analytics::cc15d(ctx, part);
     auto r = analytics::pagerank15d(ctx, part, degrees);
 
-    // Top influencer = highest PageRank (owner nominates, world votes).
+    // Top influencer = highest PageRank, ties to the smaller member id
+    // (owner nominates, world votes; the winner is independent of the
+    // reduction order).
     double best_rank = -1;
     graph::Vertex best_v = 0;
     for (uint64_t i = 0; i < r.size(); ++i)
@@ -68,7 +70,8 @@ int main(int argc, char** argv) {
     };
     Nominee winner = ctx.world.allreduce(
         Nominee{best_rank, best_v}, [](Nominee a, Nominee b) {
-          return a.rank > b.rank ? a : b;
+          if (a.rank != b.rank) return a.rank > b.rank ? a : b;
+          return a.v < b.v ? a : b;
         });
 
     auto bfs_res = bfs::bfs15d_run(ctx, part, winner.v);

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "analytics/propagate.hpp"
 #include "graph/csr.hpp"
 #include "support/check.hpp"
 
@@ -9,112 +10,78 @@ namespace sunbfs::analytics {
 
 using graph::Vertex;
 
+namespace {
+/// Fixed-point rank: kOne is a total mass of 1.  Mass never grows, so no
+/// rank, contribution or gathered sum can exceed 2^62.
+constexpr int kFracBits = 62;
+constexpr uint64_t kOne = uint64_t(1) << kFracBits;
+
+/// x · f for a fixed-point fraction f <= kOne, truncated.
+uint64_t times(uint64_t x, uint64_t f) {
+  return uint64_t((unsigned __int128)x * f >> kFracBits);
+}
+
+/// One power iteration as a propagation program: vertex u sends
+/// rank(u) / degree(u) along each arc; the gather sums; the update is
+/// base + damping · gathered.  pagerank15d refreshes `base` (teleport plus
+/// spread dangling mass) before every round.
+struct RankProgram {
+  using Value = uint64_t;
+  const partition::EhlTable* cls;
+  std::span<const uint64_t> local_degrees;  // owned vertices, E/H included
+  uint64_t first_owned;                     // global id of local index 0
+  uint64_t damping;                         // fixed point
+  uint64_t base = 0;
+
+  Value identity() const { return 0; }
+  Value combine(Value a, Value b) const { return a + b; }
+  Value contribution(Value u_value, Vertex u, Vertex /*v*/) const {
+    // Every L source is owned by the rank that sends for it; an E/H source
+    // may be owned elsewhere (its EH degree is its owner's local degree).
+    uint64_t l = uint64_t(u) - first_owned;
+    uint64_t degree = l < local_degrees.size()
+                          ? local_degrees[l]
+                          : cls->eh_degree(cls->eh_of(u));
+    return u_value / degree;
+  }
+  bool update(Value& state, const Value& gathered) const {
+    Value next = base + times(gathered, damping);
+    bool changed = next != state;
+    state = next;
+    return changed;
+  }
+};
+}  // namespace
+
 std::vector<double> pagerank15d(sim::RankContext& ctx,
                                 const partition::Part15d& part,
                                 std::span<const uint64_t> local_degrees,
                                 const PageRankOptions& options) {
-  const partition::EhlTable& cls = part.cls;
-  const uint64_t k = cls.num_eh();
-  const uint64_t nloc = part.local_count;
-  const double n = double(part.space.total);
-  SUNBFS_CHECK(local_degrees.size() == nloc);
+  SUNBFS_CHECK(local_degrees.size() == part.local_count);
+  SUNBFS_CHECK(options.damping >= 0 && options.damping <= 1);
+  const uint64_t n = part.space.total;
+  const uint64_t damping = uint64_t(std::ldexp(options.damping, kFracBits));
 
-  // Replicated EH ranks; owned L ranks (entries of EH-owned locals unused).
-  std::vector<double> eh_rank(k, 1.0 / n);
-  std::vector<double> l_rank(nloc, 1.0 / n);
-
-  struct RankMsg {
-    Vertex dst;
-    double contribution;
-  };
-
+  PropagationEngine<RankProgram> engine(
+      ctx, part,
+      RankProgram{&part.cls, local_degrees, part.space.begin(ctx.rank),
+                  damping});
+  engine.initialize([&](Vertex) { return kOne / n; });
   for (int iter = 0; iter < options.max_iterations; ++iter) {
-    // Out-contributions.
-    auto c_eh = [&](uint64_t e) {
-      return eh_rank[e] / double(cls.eh_degree(e));  // EH degree >= h > 0
-    };
-    auto c_l = [&](uint64_t l) {
-      return local_degrees[l] > 0 ? l_rank[l] / double(local_degrees[l]) : 0.0;
-    };
-
-    // Dangling mass (degree-0 vertices are always L).
-    double dangling_local = 0;
-    for (uint64_t l = 0; l < nloc; ++l)
+    // Dangling mass (degree-0 vertices are always L), spread evenly.
+    uint64_t dangling = 0;
+    for (uint64_t l = 0; l < part.local_count; ++l)
       if (local_degrees[l] == 0 && !part.local_is_eh.get(l))
-        dangling_local += l_rank[l];
-    double dangling = ctx.world.allreduce_sum(dangling_local);
-
-    // --- accumulate into EH ---------------------------------------------
-    std::vector<double> acc_eh(k, 0.0);
-    for (uint64_t x = 0; x < part.eh2eh.num_rows(); ++x) {
-      if (part.eh2eh.degree(x) == 0) continue;
-      double c = c_eh(x);
-      for (Vertex y : part.eh2eh.neighbors(x)) acc_eh[size_t(y)] += c;
-    }
-    for (uint64_t l = 0; l < nloc; ++l) {
-      double c = c_l(l);
-      if (c == 0) continue;
-      for (Vertex e : part.l2e.neighbors(l)) acc_eh[size_t(e)] += c;
-      for (Vertex h : part.l2h.neighbors(l)) acc_eh[size_t(h)] += c;
-    }
-    if (k > 0) {
-      auto add = [](double a, double b) { return a + b; };
-      ctx.col.allreduce_inplace(std::span<double>(acc_eh), add);
-      ctx.row.allreduce_inplace(std::span<double>(acc_eh), add);
-    }
-
-    // --- accumulate into L ------------------------------------------------
-    std::vector<double> acc_l(nloc, 0.0);
-    for (uint64_t l = 0; l < nloc; ++l) {
-      double sum = 0;
-      for (Vertex e : part.l2e.neighbors(l)) sum += c_eh(uint64_t(e));
-      for (Vertex h : part.l2h.neighbors(l)) sum += c_eh(uint64_t(h));
-      acc_l[l] = sum;
-    }
-    std::vector<std::vector<RankMsg>> to(size_t(ctx.nranks()));
-    for (uint64_t l = 0; l < nloc; ++l) {
-      double c = c_l(l);
-      if (c == 0) continue;
-      for (Vertex l2 : part.l2l.neighbors(l)) {
-        int owner = part.space.owner(l2);
-        if (owner == ctx.rank)
-          acc_l[part.space.to_local(owner, l2)] += c;
-        else
-          to[size_t(owner)].push_back(RankMsg{l2, c});
-      }
-    }
-    auto got = ctx.world.alltoallv(to);
-    for (const RankMsg& m : got)
-      acc_l[part.space.to_local(ctx.rank, m.dst)] += m.contribution;
-
-    // --- update -----------------------------------------------------------
-    const double base = (1.0 - options.damping) / n +
-                        options.damping * dangling / n;
-    double delta_local = 0;
-    for (uint64_t i = 0; i < k; ++i) {
-      double next = base + options.damping * acc_eh[i];
-      // Every rank computes the identical value; only the owner of the
-      // original vertex counts the delta.
-      if (part.space.owner(cls.eh_to_global(i)) == ctx.rank)
-        delta_local += std::abs(next - eh_rank[i]);
-      eh_rank[i] = next;
-    }
-    for (uint64_t l = 0; l < nloc; ++l) {
-      if (part.local_is_eh.get(l)) continue;
-      double next = base + options.damping * acc_l[l];
-      delta_local += std::abs(next - l_rank[l]);
-      l_rank[l] = next;
-    }
-    double delta = ctx.world.allreduce_sum(delta_local);
-    if (delta < options.tolerance) break;
+        dangling += engine.local_value(l);
+    dangling = ctx.world.allreduce_sum(dangling);
+    engine.program().base = (kOne - damping + times(dangling, damping)) / n;
+    if (!engine.step()) break;
   }
 
-  std::vector<double> out(nloc);
-  for (uint64_t l = 0; l < nloc; ++l) {
-    Vertex g = part.space.to_global(ctx.rank, l);
-    uint64_t eh = cls.eh_of(g);
-    out[l] = eh == partition::EhlTable::kNotEh ? l_rank[l] : eh_rank[eh];
-  }
+  std::vector<uint64_t> fixed = engine.owned_values();
+  std::vector<double> out(fixed.size());
+  for (size_t i = 0; i < fixed.size(); ++i)
+    out[i] = std::ldexp(double(fixed[i]), -kFracBits);
   return out;
 }
 
@@ -137,11 +104,9 @@ std::vector<double> reference_pagerank(uint64_t num_vertices,
       double c = options.damping * rank[v] / double(adj.degree(v));
       for (Vertex u : adj.neighbors(v)) next[size_t(u)] += c;
     }
-    double delta = 0;
-    for (uint64_t v = 0; v < num_vertices; ++v)
-      delta += std::abs(next[v] - rank[v]);
+    bool changed = next != rank;
     rank.swap(next);
-    if (delta < options.tolerance) break;
+    if (!changed) break;
   }
   return rank;
 }

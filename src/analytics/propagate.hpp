@@ -35,8 +35,8 @@
 ///
 /// Because every global arc contributes exactly once and accumulators start
 /// from identity(), the engine is correct for both idempotent gathers
-/// (min/max — label propagation, SSSP) and non-idempotent ones
-/// (+ — PageRank-style sums).
+/// (min — connected components, SSSP) and non-idempotent ones (+ — PageRank,
+/// whose fixed-point integer ranks keep the sum exact; analytics/pagerank.hpp).
 ///
 /// The L→L messages travel through an ExchangeChannel, the staging path
 /// every BFS engine uses: wire-encoded when `encoding` is enabled and routed
@@ -56,7 +56,7 @@ struct PropagateOptions {
   /// contribute in the next one — the delta/frontier execution every
   /// monotone program (min/max label propagation, SSSP relaxation) admits.
   /// Must stay false for programs whose gather must see every neighbor
-  /// each round (e.g. sums).
+  /// each round (sums, e.g. PageRank).
   bool incremental = false;
   /// Wire encoding of the L→L round.  Off by default: on this traffic the
   /// encode/decode pass costs more host time than the bytes it saves.

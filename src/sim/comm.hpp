@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <span>
@@ -262,11 +263,10 @@ class Comm {
                     contrib.size_bytes());
     shared_->barrier.wait();
     ReadPhase read_phase(shared_->barrier);
-    std::vector<T> out(block);
     // Seed from the caller's own (uncorrupted) contribution so a dropped
     // source never leaves the result unseeded.
-    std::memcpy(out.data(), contrib.data() + size_t(index_) * block,
-                block * sizeof(T));
+    auto own = contrib.subspan(size_t(index_) * block, block);
+    std::vector<T> out(own.begin(), own.end());
     for (int j = 0; j < size(); ++j) {
       if (j == index_) continue;
       if (!verify_source(CollectiveType::ReduceScatter, j, shared_->ptrs[j],
@@ -333,7 +333,7 @@ class Comm {
       scratch[i] = acc;
     }
     read_phase.end();
-    std::memcpy(data.data(), scratch, data.size_bytes());
+    std::copy_n(scratch, data.size(), data.data());
     auto [intra, inter] = symmetric_bytes(data.size_bytes());
     shared_->barrier.wait();
     record(CollectiveType::Allreduce, data.size_bytes(), inter,

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <map>
 
 #include "analytics/cc.hpp"
@@ -77,7 +78,6 @@ TEST_P(AnalyticsMeshes, PageRankMatchesReference) {
   cfg.seed = 23;
   PageRankOptions opts;
   opts.max_iterations = 30;
-  opts.tolerance = 0;  // fixed iteration count for exact comparability
   std::vector<double> got;
   sim::run_spmd(sim::MeshShape{mc.rows, mc.cols}, [&](sim::RankContext& ctx) {
     auto b = build(ctx, cfg, {64, 16});
@@ -342,7 +342,6 @@ TEST(PageRank, DampingChangesRanksButNotMass) {
     PageRankOptions opts;
     opts.damping = damping;
     opts.max_iterations = 25;
-    opts.tolerance = 0;
     std::vector<double> out;
     sim::run_spmd(sim::MeshShape{2, 2}, [&](sim::RankContext& ctx) {
       auto b = build(ctx, cfg, {64, 16});
@@ -363,6 +362,36 @@ TEST(PageRank, DampingChangesRanksButNotMass) {
   EXPECT_NEAR(sum_low, 1.0, 1e-6);   // probability mass conserved
   EXPECT_NEAR(sum_high, 1.0, 1e-6);
   EXPECT_GT(diff, 1e-3);             // damping actually matters
+}
+
+TEST(PageRank, BitIdenticalAcrossMeshes) {
+  // Fixed-point ranks sum exactly, so the mesh shape (and with it the order
+  // in which contributions meet) cannot change a single bit.
+  Graph500Config cfg;
+  cfg.scale = 9;
+  cfg.seed = 23;
+  PageRankOptions opts;
+  opts.max_iterations = 30;
+  auto run_on = [&](sim::MeshShape mesh) {
+    std::vector<double> out;
+    sim::run_spmd(mesh, [&](sim::RankContext& ctx) {
+      auto b = build(ctx, cfg, {64, 16});
+      auto r = pagerank15d(ctx, b.part, b.degrees, opts);
+      auto g = ctx.world.allgatherv(std::span<const double>(r));
+      if (ctx.rank == 0) out = std::move(g);
+    });
+    return out;
+  };
+  auto one = run_on({1, 1});
+  ASSERT_EQ(one.size(), cfg.num_vertices());
+  for (sim::MeshShape mesh : {sim::MeshShape{1, 2}, sim::MeshShape{2, 2},
+                              sim::MeshShape{2, 3}}) {
+    auto got = run_on(mesh);
+    ASSERT_EQ(got.size(), one.size());
+    EXPECT_EQ(std::memcmp(got.data(), one.data(), one.size() * sizeof(double)),
+              0)
+        << mesh.rows << "x" << mesh.cols;
+  }
 }
 
 }  // namespace
