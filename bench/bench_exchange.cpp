@@ -1,21 +1,20 @@
 // Exchange-backend ablation: the same Graph 500 search pipeline run under
-// each ExchangePlan backend (direct alltoallv, log(P) butterfly, 2D-CA
-// row/column split), compared on the search-phase alltoallv bytes — total
-// and the inter-supernode subset that crosses the 8x-oversubscribed
-// top-level links — plus the Topology cost-model score of each plan.
+// each ExchangePlan backend (direct alltoallv, 2D-CA row/column split),
+// compared on the search-phase alltoallv bytes — total and the
+// inter-supernode subset that crosses the 8x-oversubscribed top-level
+// links — plus the Topology cost-model score of each plan.
 //
 // The push phase is pinned top-down (pull_ratio > 1) because the staged
-// backends' merge win lives in the push alltoallv: duplicate visit messages
-// from many senders collapse at every stage before they reach the expensive
-// links (ButterFly BFS, arXiv 2103.13577).  Direction-optimized production
-// runs spend most dense levels in the pull allgather, which no exchange plan
-// touches; see docs/COMM.md.
+// plan's merge win lives in the push alltoallv: duplicate visit messages
+// from a whole mesh row collapse at the intermediate rank before they reach
+// the expensive links (Buluç & Madduri, arXiv 1104.4518).  Direction-
+// optimized production runs spend most dense levels in the pull allgather,
+// which no exchange plan touches; see docs/COMM.md.
 //
 // CI gates the emitted BENCH_exchange.json against the committed
 // reports/BENCH_exchange.baseline.json via tools/bench_compare.py: the
-// backends must stay bit-identical on parents (counted valid roots) and the
-// butterfly's inter-supernode reduction at the largest mesh must not
-// regress.
+// backends must stay bit-identical on parents (counted valid roots) and
+// 2D-CA's inter-supernode reduction at the largest mesh must not regress.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -73,7 +72,7 @@ bool write_bench_json(const char* path, int base_scale,
 int main(int argc, char** argv) {
   bench::init(argc, argv, "bench_exchange");
   bench::header("Exchange backends",
-                "staged-exchange ablation: direct vs butterfly vs 2D-CA");
+                "staged-exchange ablation: direct vs 2D-CA");
   bench::paper_line(
       "the production system drives the alltoallv through a hardware-assisted "
       "direct exchange; staged software plans trade extra cheap intra-"
@@ -82,7 +81,6 @@ int main(int argc, char** argv) {
   const int base_scale = 12 + bench::scale_delta();
   const std::vector<sim::MeshShape> meshes = {{2, 2}, {2, 4}, {4, 4}, {4, 8}};
   const sim::ExchangeBackend backends[] = {sim::ExchangeBackend::Direct,
-                                           sim::ExchangeBackend::Butterfly,
                                            sim::ExchangeBackend::TwoDCA};
 
   std::printf("%6s %10s | %7s %12s %12s %12s | %10s %12s\n", "ranks",
@@ -159,8 +157,8 @@ int main(int argc, char** argv) {
 
   // Self-gating shape checks (CI runs the binary before the baseline diff):
   // every backend must validate every root, the resident pools must not
-  // grow past warmup, and at the largest mesh both staged plans must beat
-  // direct on inter-supernode bytes.
+  // grow past warmup, and at the largest mesh 2D-CA must beat direct on
+  // inter-supernode bytes.
   bool ok = true;
   for (const auto& r : rows) {
     if (r.valid_roots != 2) {
@@ -179,7 +177,7 @@ int main(int argc, char** argv) {
   }
   const int largest = meshes.back().ranks();
   for (const auto& r : rows) {
-    if (r.ranks != largest || r.backend == "direct") continue;
+    if (r.ranks != largest || r.backend != "2dca") continue;
     if (r.inter_reduction_pct <= 0) {
       std::printf("FAIL: %s at the largest mesh (%d ranks) sent %.1f%% MORE "
                   "inter-supernode bytes than direct\n",
@@ -196,10 +194,10 @@ int main(int argc, char** argv) {
     std::printf("bench summary: FAILED writing %s\n", path);
 
   bench::shape_line(
-      "all backends validate bit-identically; at the largest mesh both "
-      "staged plans send fewer inter-supernode bytes than the direct "
-      "alltoallv — 2D-CA with two stages, the butterfly with log2(P) — "
-      "while paying more total (mostly intra-supernode) bytes for the hops");
+      "both backends validate bit-identically; at the largest mesh 2D-CA's "
+      "two stages send fewer inter-supernode bytes than the direct "
+      "alltoallv while paying more total (mostly intra-supernode) bytes "
+      "for the extra hop");
   const int rc = bench::finish();
   return ok ? rc : 1;
 }

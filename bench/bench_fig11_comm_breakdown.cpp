@@ -110,8 +110,7 @@ int main(int argc, char** argv) {
     // exercises the plan under test; bench_exchange is the full exhibit.
     uint64_t exch_direct_inter = 0;
     for (sim::ExchangeBackend backend :
-         {sim::ExchangeBackend::Direct, sim::ExchangeBackend::Butterfly,
-          sim::ExchangeBackend::TwoDCA}) {
+         {sim::ExchangeBackend::Direct, sim::ExchangeBackend::TwoDCA}) {
       bfs::RunnerConfig ecfg = cfg;
       ecfg.engine = bfs::EngineKind::OneD;
       ecfg.bfs1d.pull_ratio = 2.0;

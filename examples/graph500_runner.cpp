@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
   cli.add("--no-validate", "", "skip host-side validation");
   cli.add("--no-encoding", "",
           "ship raw structs instead of adaptive wire encoding");
-  cli.add("--exchange", "direct|butterfly|2dca",
+  cli.add("--exchange", "direct|2dca",
           "exchange plan for the world-wide alltoallvs (default direct)");
   cli.add("--engine", "1d|1.5d|async", "BFS engine (default 1.5d)");
   cli.add("--baseline-direction", "",
@@ -86,7 +86,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n\n%s",
                  bfs::unknown_choice_error("--exchange",
                                            cli.str("--exchange"),
-                                           "direct, butterfly, 2dca")
+                                           "direct, 2dca")
                      .c_str(),
                  cli.usage().c_str());
     return 2;

@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
           "mutation batches per query: apply one batch every round(1/R) "
           "query ids (default 1/32)");
   cli.add("--mutation-seed", "S", "mutation stream seed (default 99)");
-  cli.add("--exchange", "direct|butterfly|2dca",
+  cli.add("--exchange", "direct|2dca",
           "exchange plan for the batched-visit and SSSP alltoallvs (default "
           "direct)");
   cli.add("--wl-seed", "S", "workload seed (default 1)");
@@ -111,7 +111,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n\n%s",
                  bfs::unknown_choice_error("--exchange",
                                            cli.str("--exchange"),
-                                           "direct, butterfly, 2dca")
+                                           "direct, 2dca")
                      .c_str(),
                  cli.usage().c_str());
     return 2;

@@ -119,41 +119,33 @@ class Engine {
     // message per sender per target it is responsible for.
     {
       ws_.compact().set_encoding(opts_.encoding);
-      ws_.visit_down().set_encoding(opts_.encoding);
-      ws_.visit_along().set_encoding(opts_.encoding);
+      ws_.visits().set_encoding(opts_.encoding);
       ws_.frontier().set_encoding(opts_.encoding);
       const size_t nt = pool_.size();
       const size_t ranks = size_t(mesh_.ranks());
-      const size_t rows = size_t(mesh_.rows), cols = size_t(mesh_.cols);
+      const size_t cols = size_t(mesh_.cols);
       const size_t total = size_t(part_.space.total);
       const size_t local = size_t(local_count_);
       const size_t kmsgs = size_t(k_);
-      size_t row_total = 0;  // L vertices owned by this rank's mesh row
-      for (int c = 0; c < mesh_.cols; ++c)
-        row_total += size_t(part_.space.count(mesh_.rank_of(my_row_, c)));
       auto lane = [nt](size_t cap) { return cap / nt + 65; };
       // compact(): H2L push (cols parts, <= total), L2H push (cols parts,
-      // <= k_), non-forwarded L2L (ranks parts, <= total).
+      // <= k_), L2L push (ranks parts, <= total).
       const size_t c_send = std::max(total, kmsgs);
       ws_.compact().prime(ranks, nt, lane(c_send), c_send,
                           std::max(ranks * local, cols * kmsgs));
-      // visit_down(): L2L forwarding hop 1 (rows parts, <= total) and the
-      // parent-reduction delivery (ranks parts, <= k_ + padding).
-      const size_t d_send = std::max(total, kmsgs);
-      ws_.visit_down().prime(ranks, nt, lane(d_send), d_send,
-                             std::max(rows * row_total, kmsgs + ranks));
-      // visit_along(): L2L forwarding hop 2 re-sorts hop 1's receipts.
-      const size_t a_send = rows * row_total;
-      ws_.visit_along().prime(cols, nt, lane(a_send), a_send, ranks * local);
-      // Staged exchange plan for the two world-wide exchanges (non-forwarded
-      // L2L, delayed-parent delivery); the row/column sub-exchanges above
+      // visits(): the delayed-parent delivery (ranks parts); a rank sends
+      // one message per EH id it owns and receives at most one per EH id,
+      // so k_ bounds both sides.
+      ws_.visits().prime(ranks, nt, lane(kmsgs), kmsgs, kmsgs + ranks);
+      // Staged exchange plan for the two world-wide exchanges (L2L push,
+      // delayed-parent delivery); the row/column sub-exchanges above
       // already are a manual mesh split and always run direct.
       world_plan_ = sim::ExchangePlan::build(opts_.exchange.backend,
                                              mesh_.ranks(), mesh_);
       ws_.compact().prime_staged(world_plan_, ctx_.rank, nt, lane(c_send),
                                  c_send);
-      ws_.visit_down().prime_staged(world_plan_, ctx_.rank, nt, lane(d_send),
-                                    d_send);
+      ws_.visits().prime_staged(world_plan_, ctx_.rank, nt, lane(kmsgs),
+                                kmsgs);
     }
   }
 
@@ -698,102 +690,49 @@ class Engine {
   void sub_l2l(bool bottom_up) {
     timed_sub(Subgraph::L2L, bottom_up, [&] {
       if (!bottom_up) {
-        if (opts_.l2l_forwarding) {
-          // Stage 1: sort outgoing messages by the forwarding rank — the
-          // intersection of this rank's column and the destination's row —
-          // and exchange along the column.
-          dedup_l_.reset();
-          auto& down = ws_.visit_down();
-          down.begin(size_t(mesh_.rows), pool_.size());
-          pool_.parallel_for(0, l_curr_.word_count(),
-                             [&](size_t lo, size_t hi) {
-            l_curr_.for_each_set_words(lo, hi, [&](size_t lloc) {
-              Vertex pl = local_to_global(lloc);
-              for (Vertex l2 : part_.l2l.neighbors(lloc)) {
-                int owner = part_.space.owner(l2);
-                if (owner == ctx_.rank) {
-                  visit_local_l_mt(part_.space.to_local(owner, l2), pl);
-                } else {
-                  store_max(push_cand_[uint64_t(l2)], pl);
-                  dedup_l_.atomic_set(uint64_t(l2));
-                }
+        dedup_l_.reset();
+        auto& staging = ws_.compact();
+        staging.begin(size_t(mesh_.ranks()), pool_.size(), world_plan_,
+                      ctx_.rank);
+        pool_.parallel_for(0, l_curr_.word_count(),
+                           [&](size_t lo, size_t hi) {
+          l_curr_.for_each_set_words(lo, hi, [&](size_t lloc) {
+            Vertex pl = local_to_global(lloc);
+            for (Vertex l2 : part_.l2l.neighbors(lloc)) {
+              int owner = part_.space.owner(l2);
+              if (owner == ctx_.rank) {
+                visit_local_l_mt(part_.space.to_local(owner, l2), pl);
+              } else {
+                // Candidate = sender-local lloc (what the compact message
+                // carries); monotone with the sender's global id.
+                store_max(push_cand_[uint64_t(l2)], Vertex(lloc));
+                dedup_l_.atomic_set(uint64_t(l2));
               }
-            });
-          });
-          par_ranges(dedup_l_.word_count(), [&](size_t lane, size_t lo,
-                                                size_t hi) {
-            dedup_l_.for_each_set_words(lo, hi, [&](size_t l2) {
-              int owner = part_.space.owner(Vertex(l2));
-              down.push(lane, size_t(mesh_.row_of(owner)),
-                        VisitMsg{Vertex(l2), push_cand_[l2]});
-              push_cand_[l2] = kNoVertex;
-            });
-          });
-          auto staged = down.exchange(ctx_.col, pool_);
-          // Stage 2: the forwarder re-sorts by destination column (the
-          // OCS-RMA use case "forwarding in global messaging") and sends
-          // along its row.
-          auto& along = ws_.visit_along();
-          along.begin(size_t(mesh_.cols), pool_.size());
-          par_ranges(staged.size(), [&](size_t lane, size_t lo, size_t hi) {
-            for (size_t i = lo; i < hi; ++i) {
-              const VisitMsg& m = staged[i];
-              int owner = part_.space.owner(m.dst);
-              SUNBFS_ASSERT(mesh_.row_of(owner) == my_row_);
-              along.push(lane, size_t(mesh_.col_of(owner)), m);
             }
           });
-          auto got = along.exchange(ctx_.row, pool_);
-          pool_.parallel_for(0, got.size(), [&](size_t lo, size_t hi) {
-            for (size_t i = lo; i < hi; ++i)
-              visit_local_l_mt(part_.space.to_local(ctx_.rank, got[i].dst),
-                               got[i].parent);
+        });
+        par_ranges(dedup_l_.word_count(), [&](size_t lane, size_t lo,
+                                              size_t hi) {
+          dedup_l_.for_each_set_words(lo, hi, [&](size_t l2) {
+            Vertex lv = Vertex(l2);
+            int owner = part_.space.owner(lv);
+            staging.push(
+                lane, size_t(owner),
+                CompactMsg{uint32_t(part_.space.to_local(owner, lv)),
+                           uint32_t(push_cand_[l2])});
+            push_cand_[l2] = kNoVertex;
           });
-        } else {
-          dedup_l_.reset();
-          auto& staging = ws_.compact();
-          staging.begin(size_t(mesh_.ranks()), pool_.size(), world_plan_,
-                        ctx_.rank);
-          pool_.parallel_for(0, l_curr_.word_count(),
-                             [&](size_t lo, size_t hi) {
-            l_curr_.for_each_set_words(lo, hi, [&](size_t lloc) {
-              Vertex pl = local_to_global(lloc);
-              for (Vertex l2 : part_.l2l.neighbors(lloc)) {
-                int owner = part_.space.owner(l2);
-                if (owner == ctx_.rank) {
-                  visit_local_l_mt(part_.space.to_local(owner, l2), pl);
-                } else {
-                  // Candidate = sender-local lloc (what the compact message
-                  // carries); monotone with the sender's global id.
-                  store_max(push_cand_[uint64_t(l2)], Vertex(lloc));
-                  dedup_l_.atomic_set(uint64_t(l2));
-                }
-              }
-            });
-          });
-          par_ranges(dedup_l_.word_count(), [&](size_t lane, size_t lo,
-                                                size_t hi) {
-            dedup_l_.for_each_set_words(lo, hi, [&](size_t l2) {
-              Vertex lv = Vertex(l2);
-              int owner = part_.space.owner(lv);
-              staging.push(
-                  lane, size_t(owner),
-                  CompactMsg{uint32_t(part_.space.to_local(owner, lv)),
-                             uint32_t(push_cand_[l2])});
-              push_cand_[l2] = kNoVertex;
-            });
-          });
-          auto got = staging.exchange(ctx_.world, pool_);
-          const auto& src_off = staging.src_offsets();
-          pool_.parallel_for(0, size_t(ctx_.nranks()),
-                             [&](size_t lo, size_t hi) {
-            for (size_t src = lo; src < hi; ++src)
-              for (size_t i = src_off[src]; i < src_off[src + 1]; ++i)
-                visit_local_l_mt(
-                    got[i].dst,
-                    part_.space.to_global(int(src), got[i].src));
-          });
-        }
+        });
+        auto got = staging.exchange(ctx_.world, pool_);
+        const auto& src_off = staging.src_offsets();
+        pool_.parallel_for(0, size_t(ctx_.nranks()),
+                           [&](size_t lo, size_t hi) {
+          for (size_t src = lo; src < hi; ++src)
+            for (size_t i = src_off[src]; i < src_off[src + 1]; ++i)
+              visit_local_l_mt(
+                  got[i].dst,
+                  part_.space.to_global(int(src), got[i].src));
+        });
       } else {
         GatheredFrontier world_frontier =
             GatheredFrontier::gather(ctx_.world, l_curr_, ws_.frontier());
@@ -835,7 +774,7 @@ class Engine {
         [](Vertex a, Vertex b) { return std::max(a, b); });
     // Deliver reduced parents to the owners of the original vertex ids
     // (destination vertices are unique, so receiver writes are race-free).
-    auto& staging = ws_.visit_down();
+    auto& staging = ws_.visits();
     staging.begin(size_t(ctx_.nranks()), pool_.size(), world_plan_,
                   ctx_.rank);
     par_ranges(size_t(part_.eh_space.count(ctx_.rank)),

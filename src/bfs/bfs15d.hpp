@@ -58,13 +58,6 @@ struct Bfs15dOptions {
   /// Use the edge-aware vertex cut for EH2EH push (§5).
   bool edge_aware_vertex_cut = true;
 
-  /// Hierarchical L2L messaging (§4.4 "forwarding in global messaging"):
-  /// instead of one global alltoallv, push messages travel down the sender's
-  /// mesh column to the intersection rank with the destination's row, which
-  /// re-sorts them by destination and forwards intra-row.  Halves the number
-  /// of active point-to-point connections per rank (R+C instead of P).
-  bool l2l_forwarding = false;
-
   // --- direction heuristics ------------------------------------------------
   /// Node-local subgraphs switch to pull when the source class's active
   /// fraction exceeds this (only the source ratio is used, §4.2).
@@ -89,11 +82,12 @@ struct Bfs15dOptions {
   /// pools at engine construction.
   sim::EncodingOptions encoding;
 
-  /// Exchange plan backend for the world-wide exchanges — the non-forwarded
-  /// L2L alltoallv and the delayed-parent delivery (sim/exchange.hpp).  The
-  /// row/column sub-exchanges (H2L, L2H, forwarded L2L) already are a manual
-  /// mesh split and always run direct.  Parents stay bit-identical across
-  /// backends (ctest -L differential).
+  /// Exchange plan backend for the world-wide exchanges — the L2L push and
+  /// the delayed-parent delivery (sim/exchange.hpp).  TwoDCA is the paper's
+  /// §4.4 hierarchical L2L route (row hop to the destination's column, then
+  /// column delivery).  The row/column sub-exchanges (H2L, L2H) already are
+  /// a manual mesh split and always run direct.  Parents stay bit-identical
+  /// across backends (ctest -L differential).
   sim::ExchangeOptions exchange;
 };
 

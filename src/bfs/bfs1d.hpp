@@ -30,7 +30,7 @@ struct Bfs1dOptions {
   /// allgather (sim/encoding.hpp); applied to the workspace pools each run.
   sim::EncodingOptions encoding;
   /// Exchange plan backend for the push alltoallv (sim/exchange.hpp): the
-  /// direct collective, the log(P) butterfly, or the 2D row/column split.
+  /// direct collective or the 2D row/column split (2dca).
   /// Parents stay bit-identical across backends (ctest -L differential).
   sim::ExchangeOptions exchange;
 };

@@ -15,10 +15,9 @@
 namespace sunbfs::bfs {
 
 /// Full-width visit message: set `dst`'s parent to `parent`.  Used where the
-/// destination must survive re-routing (L2L forwarding) or already is a
-/// global id (delayed parent delivery).
+/// destination already is a global id (delayed parent delivery).
 struct VisitMsg {
-  graph::Vertex dst;     // global L id (L2L forwarding) or global vertex id
+  graph::Vertex dst;     // global vertex id
   graph::Vertex parent;  // global vertex id
 };
 

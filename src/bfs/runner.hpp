@@ -77,9 +77,9 @@ struct RunnerResult {
   uint64_t search_alltoallv_bytes = 0;
   uint64_t search_allgather_bytes = 0;
   /// Portion of search_alltoallv_bytes that crossed a supernode boundary —
-  /// the quantity the exchange-backend ablation compares: a staged plan
-  /// (butterfly, 2dca) merges messages on intra-supernode hops before they
-  /// reach the oversubscribed inter-supernode links (docs/COMM.md).
+  /// the quantity the exchange-backend ablation compares: the staged 2dca
+  /// plan merges messages on intra-supernode hops before they reach the
+  /// oversubscribed inter-supernode links (docs/COMM.md).
   uint64_t search_alltoallv_inter_bytes = 0;
 
   /// Fold the whole benchmark into a metrics report: headline GTEPS and

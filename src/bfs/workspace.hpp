@@ -32,13 +32,9 @@ class BfsWorkspace {
 
   /// Staging pool for compact 8-byte messages (H2L/L2H/L2L hot paths).
   sim::ExchangeChannel<CompactMsg>& compact() { return compact_; }
-  /// Staging pool for full-width visit messages, first hop (column phase of
-  /// L2L forwarding, delayed parent delivery, bfs1d push).
-  sim::ExchangeChannel<VisitMsg>& visit_down() { return visit_down_; }
-  /// Staging pool for full-width visit messages, second hop (row phase of
-  /// L2L forwarding).  Separate from visit_down so the two hops of one
-  /// sub-iteration never share lanes.
-  sim::ExchangeChannel<VisitMsg>& visit_along() { return visit_along_; }
+  /// Staging pool for full-width visit messages (the 1.5D engine's
+  /// delayed-parent delivery).
+  sim::ExchangeChannel<VisitMsg>& visits() { return visits_; }
   /// Reused frontier-gather receive buffer for the pull kernels.
   sim::GatherBuffer<uint64_t>& frontier() { return frontier_; }
   /// Staging pool for the asynchronous engine's speculative visit rounds
@@ -48,15 +44,14 @@ class BfsWorkspace {
 
   /// Total capacity growths across all pools since construction.
   uint64_t staging_allocs() const {
-    return compact_.allocs() + visit_down_.allocs() + visit_along_.allocs() +
-           frontier_.allocs() + async_.allocs();
+    return compact_.allocs() + visits_.allocs() + frontier_.allocs() +
+           async_.allocs();
   }
 
  private:
   ThreadPool pool_;
   sim::ExchangeChannel<CompactMsg> compact_;
-  sim::ExchangeChannel<VisitMsg> visit_down_;
-  sim::ExchangeChannel<VisitMsg> visit_along_;
+  sim::ExchangeChannel<VisitMsg> visits_;
   sim::GatherBuffer<uint64_t> frontier_;
   sim::ExchangeChannel<AsyncVisitMsg> async_;
 };

@@ -14,9 +14,9 @@
 ///
 /// The engines' hot loops stage one personalized message stream per
 /// destination every level.  Rebuilding a vector-of-vectors for that each
-/// call is where the constant factors hide (ButterFly-BFS; Buluç & Madduri),
-/// so these pools keep every buffer's capacity alive across levels and
-/// roots: per-thread per-destination staging lanes feed a
+/// call is where the constant factors hide (arXiv 2103.13577; Buluç &
+/// Madduri), so these pools keep every buffer's capacity alive across levels
+/// and roots: per-thread per-destination staging lanes feed a
 /// count → exclusive-scan → parallel-fill pass into one flat send buffer,
 /// which Comm::alltoallv_flat publishes without copying (a raw round with a
 /// single writer publishes its lanes directly instead).  Each pool counts

@@ -9,8 +9,8 @@
 #include "sim/topology.hpp"
 #include "support/check.hpp"
 
-/// Pluggable exchange plans for the staged point-to-point (alltoallv-shaped)
-/// frontier traffic of every engine (docs/COMM.md "Exchange plans").
+/// Exchange plans for the staged point-to-point (alltoallv-shaped) frontier
+/// traffic of every engine (docs/COMM.md "Exchange plans").
 ///
 /// The engines stage one personalized message stream per destination each
 /// level; how those streams reach their destinations is the exchange plan:
@@ -18,50 +18,45 @@
 ///   Direct     one alltoallv — every rank injects every destination block
 ///              straight onto the network (the paper's hardware-assisted
 ///              exchange; our modeled baseline),
-///   Butterfly  log2(P) staged hops (ButterFly BFS, arXiv 2103.13577): each
-///              stage fixes one bit of the destination rank, messages are
-///              re-staged between hops, and mergeable messages headed for
-///              the same (destination rank, key) collapse at every stage —
-///              duplicate visits die before they ever cross the
-///              oversubscribed top-level links,
 ///   TwoDCA     the 2D communication-avoiding split (Buluç & Madduri, arXiv
-///              1104.4518): stage one moves messages within the holder's
-///              mesh row to the destination's column, stage two delivers
-///              down the column — at most one inter-supernode hop per
-///              message, with the same in-flight merging.
+///              1104.4518), which is also the paper's §4.4 hierarchical L2L
+///              route taken row-first: stage one moves messages within the
+///              holder's mesh row to the destination's column, stage two
+///              delivers down the column — at most one inter-supernode hop
+///              per message, and mergeable messages headed for the same
+///              (destination rank, key) collapse at the intermediate rank.
 ///
-/// A plan is pure routing metadata: build() derives the stage list from
+/// A plan is pure routing metadata: build() derives the stage count from
 /// (backend, nparts, mesh) and hop() answers "where does a message for `dst`
 /// held at `holder` go next".  Execution lives in ExchangeChannel
 /// (sim/exchange_channel.hpp), which runs every stage through the ordinary
 /// A2aStaging pools, so wire encoding, xxhash64 checksums, fault injection
 /// and Topology byte charging all apply per stage unchanged.  stages() == 0
 /// means "this plan degenerates to the direct alltoallv" (one rank, a mesh
-/// the backend cannot split, or the Direct backend itself).
+/// with nothing to split, or the Direct backend itself).
 namespace sunbfs::sim {
 
-enum class ExchangeBackend : uint8_t { Direct = 0, Butterfly = 1, TwoDCA = 2 };
+enum class ExchangeBackend : uint8_t { Direct = 0, TwoDCA = 1 };
 
 inline const char* exchange_backend_name(ExchangeBackend b) {
   switch (b) {
     case ExchangeBackend::Direct: return "direct";
-    case ExchangeBackend::Butterfly: return "butterfly";
     case ExchangeBackend::TwoDCA: return "2dca";
   }
   return "direct";
 }
 
-/// Parse "direct" / "butterfly" / "2dca"; false on anything else.
+/// Parse "direct" / "2dca"; false on anything else.
 inline bool parse_exchange_backend(const std::string& s, ExchangeBackend* out) {
   if (s == "direct") *out = ExchangeBackend::Direct;
-  else if (s == "butterfly") *out = ExchangeBackend::Butterfly;
   else if (s == "2dca") *out = ExchangeBackend::TwoDCA;
   else return false;
   return true;
 }
 
 /// Per-engine exchange policy, threaded from runner flags into engine
-/// options (Bfs1dOptions, Bfs15dOptions, MsbfsOptions, PropagateOptions).
+/// options (Bfs1dOptions, Bfs15dOptions, BfsAsyncOptions, MsbfsOptions,
+/// PropagateOptions, SsspOptions, RepairOptions).
 struct ExchangeOptions {
   ExchangeBackend backend = ExchangeBackend::Direct;
 };
@@ -72,98 +67,48 @@ class ExchangePlan {
   /// Direct plan: zero stages, pure alltoallv.
   ExchangePlan() = default;
 
-  /// Derive the stage list.  `nparts` is the communicator size the exchange
-  /// runs over; `mesh` is the full process mesh (TwoDCA needs the row/column
-  /// geometry and only applies when nparts covers the whole mesh).
+  /// Derive the stage count.  `nparts` is the communicator size the exchange
+  /// runs over; `mesh` is the full process mesh.  TwoDCA needs the row/column
+  /// geometry, so it only stages when nparts covers the whole mesh and the
+  /// mesh has something to split (a 1xC or Rx1 mesh is already direct).
   static ExchangePlan build(ExchangeBackend backend, int nparts,
                             MeshShape mesh) {
     ExchangePlan plan;
-    plan.backend_ = backend;
     plan.nparts_ = nparts;
     plan.mesh_ = mesh;
-    if (nparts <= 1) return plan;
-    switch (backend) {
-      case ExchangeBackend::Direct:
-        break;
-      case ExchangeBackend::Butterfly: {
-        // q = largest power of two <= nparts.  Non-power-of-two sizes fold
-        // the tail ranks [q, nparts) onto [0, nparts - q) first, run the
-        // log2(q) bit stages on the power-of-two core, then unfold.
-        int q = 1;
-        while (q * 2 <= nparts) q *= 2;
-        plan.q_ = q;
-        if (nparts > q) plan.push_stage(StageKind::Fold, 0);
-        // Low bits first: with row-major rank numbering the low bits select
-        // the column, so the early stages hop inside a supernode row and
-        // merging happens before any oversubscribed inter-supernode link.
-        for (int bit = 1; bit < q; bit *= 2)
-          plan.push_stage(StageKind::Bit, bit);
-        if (nparts > q) plan.push_stage(StageKind::Unfold, 0);
-        break;
-      }
-      case ExchangeBackend::TwoDCA:
-        // Row split then column delivery; needs the full mesh and a shape
-        // with something to split (a 1xC or Rx1 mesh is already direct).
-        if (nparts == mesh.ranks() && mesh.rows > 1 && mesh.cols > 1) {
-          plan.push_stage(StageKind::RowSplit, 0);
-          plan.push_stage(StageKind::ColDeliver, 0);
-        }
-        break;
-    }
+    if (backend == ExchangeBackend::TwoDCA && nparts > 1 &&
+        nparts == mesh.ranks() && mesh.rows > 1 && mesh.cols > 1)
+      plan.stages_ = 2;
     return plan;
   }
 
-  ExchangeBackend backend() const { return backend_; }
   int nparts() const { return nparts_; }
   /// Number of staged hops; 0 means execute as one direct alltoallv.
-  int stages() const { return int(kinds_.size()); }
+  int stages() const { return stages_; }
 
-  /// Next hop for a message destined to `dst` currently held at `holder`.
-  /// hop(stage, ...) == holder is a (free) self-hop.  After running every
-  /// stage in order the message is at `dst`.
+  /// Next hop for a message destined to `dst` currently held at `holder`:
+  /// stage 0 is the row split, stage 1 the column delivery.  hop(stage, ...)
+  /// == holder is a (free) self-hop.  After running every stage in order
+  /// the message is at `dst`.
   int hop(int stage, int holder, int dst) const {
     SUNBFS_ASSERT(stage >= 0 && stage < stages());
     SUNBFS_ASSERT(holder >= 0 && holder < nparts_);
     SUNBFS_ASSERT(dst >= 0 && dst < nparts_);
-    switch (kinds_[size_t(stage)]) {
-      case StageKind::Fold:
-        return holder >= q_ ? holder - q_ : holder;
-      case StageKind::Bit: {
-        const int bit = bits_[size_t(stage)];
-        const int t = dst >= q_ ? dst - q_ : dst;  // core image of dst
-        return (holder & ~bit) | (t & bit);
-      }
-      case StageKind::Unfold:
-        return dst >= q_ ? dst : holder;
-      case StageKind::RowSplit:
-        return mesh_.rank_of(mesh_.row_of(holder), mesh_.col_of(dst));
-      case StageKind::ColDeliver:
-        return dst;
-    }
-    return dst;
+    return stage == 0 ? mesh_.rank_of(mesh_.row_of(holder), mesh_.col_of(dst))
+                      : dst;
   }
 
  private:
-  enum class StageKind : uint8_t { Fold, Bit, Unfold, RowSplit, ColDeliver };
-
-  void push_stage(StageKind kind, int bit) {
-    kinds_.push_back(kind);
-    bits_.push_back(bit);
-  }
-
-  ExchangeBackend backend_ = ExchangeBackend::Direct;
   int nparts_ = 0;
-  int q_ = 0;  // butterfly power-of-two core size
+  int stages_ = 0;
   MeshShape mesh_{};
-  std::vector<StageKind> kinds_;
-  std::vector<int> bits_;  // parallel to kinds_; the bit of each Bit stage
 };
 
 /// ---- In-flight merging ---------------------------------------------------
 ///
 /// A staged exchange holds messages from many sources at intermediate ranks;
-/// collapsing messages that a receiver would reduce anyway is where the
-/// butterfly's byte win comes from.  A message type opts in by specializing
+/// collapsing messages that a receiver would reduce anyway is where a staged
+/// plan's byte win comes from.  A message type opts in by specializing
 /// ExchangeMergePolicy<T> next to its WireFormat (bfs/messages.hpp,
 /// service/msbfs.hpp, analytics/sssp.hpp, analytics/propagate.hpp):
 ///

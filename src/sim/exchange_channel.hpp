@@ -135,24 +135,16 @@ class ExchangeChannel {
                     size_t lane_cap, size_t volume_cap) {
     if (plan.stages() == 0) return;
     const size_t nparts = size_t(plan.nparts());
-    // Convergent stages (the fold hop, row splits) can briefly double a
-    // rank's held volume relative to the uniform per-rank bound.
+    // The convergent row split can briefly double a rank's held volume
+    // relative to the uniform per-rank bound.
     const size_t stage_cap = 2 * volume_cap + 64;
     hop_.prime(nparts, nthreads, /*lane_cap=*/0, stage_cap, stage_cap);
     for (int d = 0; d < int(nparts); ++d) {
       const size_t h0 = size_t(plan.hop(0, self, d));
       for (size_t t = 0; t < nthreads; ++t)
         hop_.prime_lane(nparts, t, h0, lane_cap);
-      // hop(s, self, d) at later stages assumes `self` can legitimately
-      // hold messages there; a butterfly tail rank (self >= q on a
-      // non-power-of-two communicator) cannot — it folded everything away
-      // at stage 0 and hop() composes out of range for it.  Such a rank
-      // pushes nothing at those stages either, so skipping the lane keeps
-      // primed lanes == pushed lanes (steady allocs stay zero).
-      for (int s = 1; s < plan.stages(); ++s) {
-        const size_t hs = size_t(plan.hop(s, self, d));
-        if (hs < nparts) hop_.prime_lane(nparts, 0, hs, stage_cap);
-      }
+      for (int s = 1; s < plan.stages(); ++s)
+        hop_.prime_lane(nparts, 0, size_t(plan.hop(s, self, d)), stage_cap);
     }
     if (src_offsets_.capacity() < nparts + 1) {
       ++allocs_;

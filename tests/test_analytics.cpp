@@ -234,9 +234,9 @@ struct NeighborSumProgram {
   }
 };
 
-// The butterfly round on the non-power-of-two 2x3 mesh routes through fold
-// and unfold hops: a sum gather must still see every contribution, so no
-// hop may merge messages the way min programs allow.
+// The 2dca round on the 2x3 mesh holds messages from a whole mesh row at
+// each intermediate rank: a sum gather must still see every contribution,
+// so no hop may merge messages the way min programs allow.
 TEST(Propagate, NonIdempotentGatherCountsEveryArcOnce) {
   Graph500Config cfg;
   cfg.scale = 9;
@@ -245,7 +245,7 @@ TEST(Propagate, NonIdempotentGatherCountsEveryArcOnce) {
   auto edges = graph::generate_rmat(cfg);
   auto adj = graph::Csr::from_undirected(cfg.num_vertices(), edges);
   for (sim::ExchangeBackend backend :
-       {sim::ExchangeBackend::Direct, sim::ExchangeBackend::Butterfly}) {
+       {sim::ExchangeBackend::Direct, sim::ExchangeBackend::TwoDCA}) {
     SCOPED_TRACE(sim::exchange_backend_name(backend));
     std::vector<uint64_t> got;
     sim::run_spmd(sim::MeshShape{2, 3}, [&](sim::RankContext& ctx) {

@@ -282,8 +282,8 @@ INSTANTIATE_TEST_SUITE_P(
                   sim::ExchangeBackend::Direct},
         AsyncCase{"rmat_s10_2x2_raw", 43, 10, {}, 2, 2, 2, false,
                   sim::ExchangeBackend::Direct},
-        AsyncCase{"rmat_s10_2x4_butterfly", 44, 10, {}, 2, 4, 2, true,
-                  sim::ExchangeBackend::Butterfly},
+        AsyncCase{"rmat_s10_2x4_2dca", 44, 10, {}, 2, 4, 2, true,
+                  sim::ExchangeBackend::TwoDCA},
         AsyncCase{"rmat_s11_2x4_2dca", 45, 11, {}, 2, 4, 4, true,
                   sim::ExchangeBackend::TwoDCA},
         AsyncCase{"rmat_s10_4x1", 46, 10, {}, 4, 1, 1, false,
@@ -295,8 +295,8 @@ INSTANTIATE_TEST_SUITE_P(
                   true, sim::ExchangeBackend::TwoDCA},
         AsyncCase{"grid_48x32", 0, 0, LatticeConfig::grid(48, 32), 2, 2, 2,
                   true, sim::ExchangeBackend::Direct},
-        AsyncCase{"torus_32x32_butterfly", 0, 0, LatticeConfig::torus(32, 32),
-                  2, 2, 4, false, sim::ExchangeBackend::Butterfly}));
+        AsyncCase{"torus_32x32_2dca", 0, 0, LatticeConfig::torus(32, 32), 2,
+                  2, 4, false, sim::ExchangeBackend::TwoDCA}));
 
 // ------------------------------------------------ fault recovery
 
@@ -395,8 +395,7 @@ TEST(AsyncDeterminism, OutputsBitIdenticalAcrossThreadsEncodingAndBackends) {
   for (int threads : {2, 4})
     for (bool encoding : {true, false})
       for (auto backend :
-           {sim::ExchangeBackend::Direct, sim::ExchangeBackend::Butterfly,
-            sim::ExchangeBackend::TwoDCA}) {
+           {sim::ExchangeBackend::Direct, sim::ExchangeBackend::TwoDCA}) {
         SCOPED_TRACE(std::string("threads ") + std::to_string(threads) +
                      ", encoding " + (encoding ? "on" : "off") + ", " +
                      sim::exchange_backend_name(backend));
@@ -436,10 +435,15 @@ TEST(EngineCli, UnknownChoiceErrorNamesFlagValueAndChoices) {
   EXPECT_EQ(bfs::unknown_choice_error("--engine", "bogus",
                                       bfs::engine_kind_choices()),
             "--engine: unknown value 'bogus' (valid: 1d, 1.5d, async)");
-  EXPECT_EQ(bfs::unknown_choice_error("--exchange", "ring",
-                                      "direct, butterfly, 2dca"),
-            "--exchange: unknown value 'ring' (valid: direct, butterfly, "
-            "2dca)");
+  EXPECT_EQ(bfs::unknown_choice_error("--exchange", "ring", "direct, 2dca"),
+            "--exchange: unknown value 'ring' (valid: direct, 2dca)");
+  // "butterfly" names no plan and is rejected like any other value.
+  sim::ExchangeBackend backend = sim::ExchangeBackend::Direct;
+  EXPECT_FALSE(sim::parse_exchange_backend("butterfly", &backend));
+  EXPECT_EQ(backend, sim::ExchangeBackend::Direct) << "out modified on reject";
+  EXPECT_EQ(bfs::unknown_choice_error("--exchange", "butterfly",
+                                      "direct, 2dca"),
+            "--exchange: unknown value 'butterfly' (valid: direct, 2dca)");
   EXPECT_EQ(std::string(bfs::engine_kind_choices()), "1d, 1.5d, async");
 }
 

@@ -255,42 +255,6 @@ TEST(Bfs15d, ActivationPeaksEarlierForHubs) {
   EXPECT_LE(peak_e, peak_l);
 }
 
-TEST(Bfs15d, L2lForwardingMatchesDirect) {
-  // The hierarchical forwarding of SS4.4 must reach exactly the same tree.
-  Graph500Config cfg;
-  cfg.scale = 11;
-  cfg.seed = 6;
-  Vertex root = pick_root(cfg);
-  partition::DegreeThresholds th{1u << 30, 1u << 30};  // everything L2L
-  auto direct = run_15d(cfg, sim::MeshShape{3, 2}, th, root);
-  Bfs15dOptions fwd;
-  fwd.l2l_forwarding = true;
-  auto forwarded = run_15d(cfg, sim::MeshShape{3, 2}, th, root, fwd);
-  expect_equivalent_to_reference(cfg, root, forwarded);
-  for (size_t v = 0; v < direct.size(); ++v)
-    ASSERT_EQ(direct[v] != kNoVertex, forwarded[v] != kNoVertex);
-}
-
-TEST(Bfs15d, L2lForwardingReducesConnections) {
-  // Forwarding trades one global alltoallv for two mesh-limited ones; the
-  // point-to-point fan-out per rank drops from P-1 to (R-1)+(C-1).
-  Graph500Config cfg;
-  cfg.scale = 12;
-  cfg.seed = 6;
-  Vertex root = pick_root(cfg);
-  partition::DegreeThresholds th{1u << 30, 1u << 30};
-  BfsStats direct, fwd;
-  run_15d(cfg, sim::MeshShape{3, 3}, th, root, {}, &direct);
-  Bfs15dOptions o;
-  o.l2l_forwarding = true;
-  run_15d(cfg, sim::MeshShape{3, 3}, th, root, o, &fwd);
-  // Forwarded bytes pass the network twice, so sent bytes roughly double...
-  const auto& d = direct.comm.entry(sim::CollectiveType::Alltoallv);
-  const auto& f = fwd.comm.entry(sim::CollectiveType::Alltoallv);
-  EXPECT_GT(f.calls, d.calls);  // two stages per push iteration
-  EXPECT_GT(f.bytes_sent, d.bytes_sent);
-}
-
 TEST(Bfs15d, RootsFromEveryDegreeClass) {
   // The root may be an E hub, an H vertex or an L vertex; all must work.
   Graph500Config cfg;
@@ -413,24 +377,6 @@ TEST(ThreadDeterminism, Bfs15dBitIdenticalAcrossThreadCounts) {
     o.threads_per_rank = tpr;
     parents.push_back(run_15d(cfg, sim::MeshShape{2, 2},
                               partition::DegreeThresholds{128, 32}, root, o));
-  }
-  expect_identical_sweep(cfg, root, parents);
-}
-
-TEST(ThreadDeterminism, Bfs15dForwardingSweepAlsoIdentical) {
-  // All-L thresholds with L2L forwarding exercises the two-hop staged path.
-  Graph500Config cfg;
-  cfg.scale = 10;
-  cfg.seed = 23;
-  Vertex root = pick_root(cfg);
-  std::vector<std::vector<Vertex>> parents;
-  for (int tpr : {1, 2, 4}) {
-    Bfs15dOptions o;
-    o.threads_per_rank = tpr;
-    o.l2l_forwarding = true;
-    parents.push_back(
-        run_15d(cfg, sim::MeshShape{3, 2},
-                partition::DegreeThresholds{1u << 30, 1u << 30}, root, o));
   }
   expect_identical_sweep(cfg, root, parents);
 }

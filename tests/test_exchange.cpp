@@ -5,18 +5,18 @@
 //
 //   1. ExchangePlan unit tests: hop() composed over every stage delivers
 //      every (holder, dst) pair for every backend, mesh shape and
-//      communicator size (including non-power-of-two butterflies), stage
-//      counts match the construction, and the degenerate shapes collapse
-//      to direct.
-//   2. Backend bit-identity: each engine (1D, 1.5D, MS-BFS, and SSSP
-//      and CC on the propagation engine) run under butterfly and 2D-CA —
-//      across encoding on/off and thread counts — returns output
-//      bit-identical to the direct-alltoallv baseline, which the suites in
+//      communicator size, stage counts match the construction, and the
+//      degenerate shapes collapse to direct.
+//   2. Backend bit-identity: each engine (1D, 1.5D — including an all-L
+//      partition whose every push is the L2L route — MS-BFS, and SSSP and
+//      CC on the propagation engine) run under 2D-CA — across encoding
+//      on/off and thread counts — returns output bit-identical to the
+//      direct-alltoallv baseline, which the suites in
 //      test_differential.cpp already pin to the serial oracles.
 //   3. Fault recovery through staged hops: corruption and rank failures
-//      landing inside the butterfly's intermediate alltoallvs are
-//      detected (xxhash64 block checksums per hop), rolled back and
-//      replayed to the exact fault-free answer.
+//      landing inside 2D-CA's row and column alltoallvs are detected
+//      (xxhash64 block checksums per hop), rolled back and replayed to the
+//      exact fault-free answer.
 //   4. A seeded randomized full-pipeline sweep over exchange backends;
 //      any failure prints one graph500_runner command line (including
 //      --exchange) that replays it.
@@ -33,7 +33,6 @@
 #include "analytics/sssp.hpp"
 #include "bfs/bfs15d.hpp"
 #include "bfs/bfs1d.hpp"
-#include "bfs/messages.hpp"
 #include "bfs/runner.hpp"
 #include "graph/rmat.hpp"
 #include "graph/validate.hpp"
@@ -41,7 +40,6 @@
 #include "partition/part1d.hpp"
 #include "service/msbfs.hpp"
 #include "sim/exchange.hpp"
-#include "sim/exchange_channel.hpp"
 #include "sim/fault.hpp"
 #include "sim/runtime.hpp"
 #include "support/random.hpp"
@@ -68,12 +66,12 @@ Vertex pick_root(const Graph500Config& cfg) {
 // Composing hop() over every stage must land every message on its
 // destination, for every backend over representative meshes — including a
 // communicator smaller than the mesh (sub-communicator exchanges always
-// run nparts < ranks through the butterfly's fold path or degenerate).
+// run nparts < ranks, where 2D-CA degenerates to direct).
 TEST(ExchangePlan, HopCompositionDeliversEveryPair) {
   const sim::MeshShape meshes[] = {{1, 1}, {1, 4}, {4, 1}, {2, 2},
-                                   {2, 3}, {3, 2}, {2, 4}, {4, 4}};
+                                   {2, 3}, {3, 2}, {2, 4}, {4, 4},
+                                   {3, 3}, {4, 2}, {3, 4}, {4, 3}};
   const sim::ExchangeBackend backends[] = {sim::ExchangeBackend::Direct,
-                                           sim::ExchangeBackend::Butterfly,
                                            sim::ExchangeBackend::TwoDCA};
   for (const auto mesh : meshes) {
     for (const auto backend : backends) {
@@ -102,25 +100,10 @@ TEST(ExchangePlan, StageCountsMatchConstruction) {
   EXPECT_EQ(sim::ExchangePlan::build(sim::ExchangeBackend::Direct, 16, m44)
                 .stages(),
             0);
-  EXPECT_EQ(sim::ExchangePlan::build(sim::ExchangeBackend::Butterfly, 1, m44)
+  EXPECT_EQ(sim::ExchangePlan::build(sim::ExchangeBackend::TwoDCA, 1,
+                                     sim::MeshShape{1, 1})
                 .stages(),
             0);
-  // Power-of-two butterfly: log2(P) bit stages.
-  EXPECT_EQ(sim::ExchangePlan::build(sim::ExchangeBackend::Butterfly, 16, m44)
-                .stages(),
-            4);
-  EXPECT_EQ(sim::ExchangePlan::build(sim::ExchangeBackend::Butterfly, 4, m44)
-                .stages(),
-            2);
-  // Non-power-of-two: fold + log2(q) + unfold.
-  EXPECT_EQ(sim::ExchangePlan::build(sim::ExchangeBackend::Butterfly, 6,
-                                     sim::MeshShape{2, 3})
-                .stages(),
-            4);  // fold, bit1, bit2, unfold (q = 4)
-  EXPECT_EQ(sim::ExchangePlan::build(sim::ExchangeBackend::Butterfly, 3,
-                                     sim::MeshShape{3, 1})
-                .stages(),
-            3);  // fold, bit1, unfold (q = 2)
   // 2D-CA: row split + column delivery when there is something to split...
   EXPECT_EQ(sim::ExchangePlan::build(sim::ExchangeBackend::TwoDCA, 16, m44)
                 .stages(),
@@ -133,32 +116,6 @@ TEST(ExchangePlan, StageCountsMatchConstruction) {
   EXPECT_EQ(sim::ExchangePlan::build(sim::ExchangeBackend::TwoDCA, 8, m44)
                 .stages(),
             0);
-}
-
-// With row-major rank numbering and a power-of-two column count, the
-// butterfly's low-bit-first order means the early stages permute only the
-// column: merging happens inside a supernode row before any message
-// crosses the oversubscribed inter-supernode links (docs/COMM.md).
-TEST(ExchangePlan, ButterflyEarlyStagesStayInsideTheRow) {
-  const sim::MeshShape mesh{4, 4};
-  const auto plan = sim::ExchangePlan::build(sim::ExchangeBackend::Butterfly,
-                                             mesh.ranks(), mesh);
-  ASSERT_EQ(plan.stages(), 4);
-  const int col_stages = 2;  // log2(cols)
-  for (int dst = 0; dst < mesh.ranks(); ++dst) {
-    for (int holder = 0; holder < mesh.ranks(); ++holder) {
-      int h = holder;
-      for (int s = 0; s < col_stages; ++s) {
-        const int next = plan.hop(s, h, dst);
-        ASSERT_EQ(mesh.row_of(next), mesh.row_of(h))
-            << "stage " << s << " crossed rows for holder " << holder
-            << " dst " << dst;
-        h = next;
-      }
-      // After the column stages the holder already sits in dst's column.
-      ASSERT_EQ(mesh.col_of(h), mesh.col_of(dst));
-    }
-  }
 }
 
 // 2D-CA routes every message through exactly one rank: the row-mate in the
@@ -175,23 +132,6 @@ TEST(ExchangePlan, TwoDCARoutesThroughTheRowMate) {
       EXPECT_EQ(mesh.col_of(mid), mesh.col_of(dst));
       EXPECT_EQ(plan.hop(1, mid, dst), dst);
     }
-  }
-}
-
-// prime_staged must tolerate a butterfly tail rank (self >= q on a
-// non-power-of-two communicator): hop(s, self, d) composes out of range at
-// stages such a rank never holds messages at, and the priming loop used to
-// index a staging lane past the pool — an out-of-bounds read that only
-// crashed when nthreads == 1 kept the pool at exactly nparts lanes.
-TEST(ExchangePlan, PrimeStagedToleratesFoldedTailRanks) {
-  const sim::MeshShape mesh{3, 2};
-  const auto plan = sim::ExchangePlan::build(sim::ExchangeBackend::Butterfly,
-                                             mesh.ranks(), mesh);
-  ASSERT_GT(plan.stages(), 0);
-  for (int self = 0; self < mesh.ranks(); ++self) {
-    sim::ExchangeChannel<bfs::CompactMsg> ch;
-    ch.prime_staged(plan, self, /*nthreads=*/1, /*lane_cap=*/64,
-                    /*volume_cap=*/256);
   }
 }
 
@@ -217,14 +157,15 @@ std::vector<Vertex> run_1d(const Graph500Config& cfg, sim::MeshShape mesh,
 }
 
 std::vector<Vertex> run_15d(const Graph500Config& cfg, sim::MeshShape mesh,
-                            Vertex root, int threads, bool encoding,
+                            partition::DegreeThresholds th, Vertex root,
+                            int threads, bool encoding,
                             sim::ExchangeBackend backend) {
   partition::VertexSpace space{cfg.num_vertices(), mesh.ranks()};
   std::vector<Vertex> global_parent;
   sim::run_spmd(mesh, [&](sim::RankContext& ctx) {
     auto slice = slice_of(cfg, ctx.rank, ctx.nranks());
     auto deg = partition::compute_local_degrees(ctx, space, slice);
-    auto part = partition::build_15d(ctx, space, slice, deg, {128, 32});
+    auto part = partition::build_15d(ctx, space, slice, deg, th);
     bfs::Bfs15dOptions opts;
     opts.threads_per_rank = threads;
     opts.encoding.enabled = encoding;
@@ -241,14 +182,15 @@ struct BackendCase {
   uint64_t seed;
   int scale;
   int rows, cols;
+  partition::DegreeThresholds thresholds;  // 1.5D only
 };
 
 class BackendBitIdentity : public ::testing::TestWithParam<BackendCase> {};
 
 // Parent claims are order-independent reductions, so re-routing (and
-// in-flight merging) must not change one output word: every staged backend
-// at every (encoding, threads) combination equals the direct baseline,
-// which test_differential.cpp pins against the serial reference.
+// in-flight merging) must not change one output word: every backend at
+// every (encoding, threads) combination equals the direct baseline, which
+// test_differential.cpp pins against the serial reference.
 TEST_P(BackendBitIdentity, ParentsEqualDirectBaseline) {
   const BackendCase c = GetParam();
   Graph500Config cfg;
@@ -259,7 +201,8 @@ TEST_P(BackendBitIdentity, ParentsEqualDirectBaseline) {
   const bool is_1d = std::string(c.engine) == "1d";
   auto run = [&](int threads, bool encoding, sim::ExchangeBackend backend) {
     return is_1d ? run_1d(cfg, mesh, root, threads, encoding, backend)
-                 : run_15d(cfg, mesh, root, threads, encoding, backend);
+                 : run_15d(cfg, mesh, c.thresholds, root, threads, encoding,
+                           backend);
   };
   const auto baseline = run(1, true, sim::ExchangeBackend::Direct);
   // Direct stays the oracle-pinned answer regardless of routing.
@@ -267,9 +210,12 @@ TEST_P(BackendBitIdentity, ParentsEqualDirectBaseline) {
       graph::levels_from_parents(cfg.num_vertices(), baseline, root);
   ASSERT_GT(levels[size_t(root)] + 1, 0);
   for (sim::ExchangeBackend backend :
-       {sim::ExchangeBackend::Butterfly, sim::ExchangeBackend::TwoDCA}) {
+       {sim::ExchangeBackend::Direct, sim::ExchangeBackend::TwoDCA}) {
     for (bool encoding : {true, false}) {
       for (int threads : {1, 4}) {
+        if (backend == sim::ExchangeBackend::Direct && encoding &&
+            threads == 1)
+          continue;  // the baseline itself
         SCOPED_TRACE(std::string(c.engine) + " " +
                      sim::exchange_backend_name(backend) + ", encoding " +
                      (encoding ? "on" : "off") + ", threads " +
@@ -282,12 +228,17 @@ TEST_P(BackendBitIdentity, ParentsEqualDirectBaseline) {
 
 INSTANTIATE_TEST_SUITE_P(
     SeededConfigs, BackendBitIdentity,
-    ::testing::Values(BackendCase{"1d", 51, 10, 2, 2},
-                      BackendCase{"1d", 52, 10, 2, 4},
-                      BackendCase{"1d", 53, 9, 2, 3},  // non-pow2 butterfly
-                      BackendCase{"1.5d", 54, 10, 2, 2},
-                      BackendCase{"1.5d", 55, 10, 2, 4},
-                      BackendCase{"1.5d", 56, 9, 3, 2}));
+    ::testing::Values(BackendCase{"1d", 51, 10, 2, 2, {}},
+                      BackendCase{"1d", 52, 10, 2, 4, {}},
+                      BackendCase{"1d", 53, 9, 2, 3, {}},
+                      BackendCase{"1.5d", 54, 10, 2, 2, {128, 32}},
+                      BackendCase{"1.5d", 55, 10, 2, 4, {128, 32}},
+                      BackendCase{"1.5d", 56, 9, 3, 2, {128, 32}},
+                      // All-L: every push is the world-wide L2L route, and
+                      // at this size 2D-CA's row-mates merge L2L messages
+                      // from different senders.
+                      BackendCase{"1.5d", 6, 11, 3, 2,
+                                  {1u << 30, 1u << 30}}));
 
 // MS-BFS: the batch engine's OR-mask visit messages merge across senders;
 // exact parent equality with the direct run (which MsbfsOracle in
@@ -324,15 +275,12 @@ TEST(BackendBitIdentityMsbfs, BatchParentsEqualDirectBaseline) {
 
   const auto baseline = run(sim::ExchangeBackend::Direct, true, 1);
   ASSERT_EQ(baseline.size(), size_t(width));
-  for (sim::ExchangeBackend backend :
-       {sim::ExchangeBackend::Butterfly, sim::ExchangeBackend::TwoDCA}) {
-    for (bool encoding : {true, false}) {
-      for (int threads : {1, 4}) {
-        SCOPED_TRACE(std::string(sim::exchange_backend_name(backend)) +
-                     ", encoding " + (encoding ? "on" : "off") +
-                     ", threads " + std::to_string(threads));
-        ASSERT_EQ(run(backend, encoding, threads), baseline);
-      }
+  for (bool encoding : {true, false}) {
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE(std::string("2dca, encoding ") + (encoding ? "on" : "off") +
+                   ", threads " + std::to_string(threads));
+      ASSERT_EQ(run(sim::ExchangeBackend::TwoDCA, encoding, threads),
+                baseline);
     }
   }
 }
@@ -394,14 +342,12 @@ TEST(BackendBitIdentityPropagation, DistancesAndLabelsEqualDirectRaw) {
     return got;
   };
 
-  // 2x3 is not a power of two: the butterfly folds and unfolds around its
-  // 4-rank core, merging at those hops too.
-  for (sim::MeshShape mesh : {sim::MeshShape{2, 2}, sim::MeshShape{2, 3}}) {
+  for (sim::MeshShape mesh : {sim::MeshShape{2, 2}, sim::MeshShape{2, 3},
+                              sim::MeshShape{3, 2}, sim::MeshShape{2, 4}}) {
     const auto baseline = run(mesh, sim::ExchangeBackend::Direct, false);
     ASSERT_EQ(baseline.size(), 2 * cfg.num_vertices());
     for (sim::ExchangeBackend backend :
-         {sim::ExchangeBackend::Direct, sim::ExchangeBackend::Butterfly,
-          sim::ExchangeBackend::TwoDCA}) {
+         {sim::ExchangeBackend::Direct, sim::ExchangeBackend::TwoDCA}) {
       for (bool encoding : {true, false}) {
         if (backend == sim::ExchangeBackend::Direct && !encoding)
           continue;  // the baseline itself
@@ -419,7 +365,7 @@ TEST(BackendBitIdentityPropagation, DistancesAndLabelsEqualDirectRaw) {
 
 // Each staged hop is its own alltoallv on the wire: its blocks carry their
 // own xxhash64 checksums and count against the fault plan's per-collective
-// call indices.  Corruption landing in ANY butterfly stage — and a rank
+// call indices.  Corruption landing in either 2D-CA stage — and a rank
 // failure mid-search — must be detected, rolled back and replayed to the
 // bit-exact fault-free answer.
 struct StagedFaultCase {
@@ -443,7 +389,7 @@ TEST_P(StagedFaultRecovery, RecoveredParentsEqualFaultFree) {
   cfg.seed = 71;
   const sim::MeshShape mesh{2, 2};
   const Vertex root = pick_root(cfg);
-  const auto backend = sim::ExchangeBackend::Butterfly;
+  const auto backend = sim::ExchangeBackend::TwoDCA;
 
   const auto expect = run_1d(cfg, mesh, root, c.threads, c.encoding, backend);
 
@@ -494,11 +440,11 @@ TEST_P(StagedFaultRecovery, RecoveredParentsEqualFaultFree) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    ButterflyStages, StagedFaultRecovery,
+    TwoDcaStages, StagedFaultRecovery,
     ::testing::Values(
         // Corruptions landing at increasing Alltoallv call indices hit
-        // different stages of different levels' butterflies (2 staged
-        // hops per level on a 2x2 mesh).
+        // the row and column stages of different levels (2 staged hops per
+        // level on a 2x2 mesh).
         StagedFaultCase{sim::FaultKind::BitFlip, 0, 1, true},
         StagedFaultCase{sim::FaultKind::BitFlip, 1, 1, true},
         StagedFaultCase{sim::FaultKind::BitFlip, 2, 4, true},
@@ -526,9 +472,6 @@ TEST(RandomizedExchangeSweep, SampledPipelinesValidateOrPrintRepro) {
   Xoshiro256StarStar rng(seed ^ 0xbf11);
   static const sim::MeshShape kMeshes[] = {{1, 2}, {2, 2}, {2, 4}, {4, 4}};
   static const int kThreads[] = {1, 2, 4};
-  static const sim::ExchangeBackend kBackends[] = {
-      sim::ExchangeBackend::Direct, sim::ExchangeBackend::Butterfly,
-      sim::ExchangeBackend::TwoDCA};
 
   for (uint64_t it = 0; it < iters; ++it) {
     bfs::RunnerConfig cfg;
@@ -543,7 +486,7 @@ TEST(RandomizedExchangeSweep, SampledPipelinesValidateOrPrintRepro) {
     const bool encoding = rng.next() % 2 == 0;
     cfg.bfs.encoding.enabled = encoding;
     cfg.bfs1d.encoding.enabled = encoding;
-    const sim::ExchangeBackend backend = kBackends[1 + rng.next() % 2];
+    const sim::ExchangeBackend backend = sim::ExchangeBackend::TwoDCA;
     cfg.bfs.exchange.backend = backend;
     cfg.bfs1d.exchange.backend = backend;
     const sim::MeshShape mesh = kMeshes[rng.next() % 4];

@@ -493,15 +493,15 @@ INSTANTIATE_TEST_SUITE_P(
         RepairCase{62, 9, 2, 2, 1, true, sim::ExchangeBackend::Direct, 3},
         RepairCase{63, 10, 2, 2, 2, true, sim::ExchangeBackend::Direct, 2},
         RepairCase{64, 10, 2, 2, 4, false, sim::ExchangeBackend::Direct, 2},
-        RepairCase{65, 10, 2, 4, 2, true, sim::ExchangeBackend::Butterfly, 2},
-        RepairCase{66, 9, 2, 2, 1, true, sim::ExchangeBackend::Butterfly, 3},
-        RepairCase{67, 10, 4, 1, 2, false, sim::ExchangeBackend::Butterfly, 2},
+        RepairCase{65, 10, 2, 4, 2, true, sim::ExchangeBackend::TwoDCA, 2},
+        RepairCase{66, 9, 2, 2, 1, true, sim::ExchangeBackend::TwoDCA, 3},
+        RepairCase{67, 10, 4, 1, 2, false, sim::ExchangeBackend::TwoDCA, 2},
         RepairCase{68, 10, 2, 2, 2, true, sim::ExchangeBackend::TwoDCA, 2},
         RepairCase{69, 10, 2, 3, 1, true, sim::ExchangeBackend::TwoDCA, 2},
         RepairCase{70, 9, 1, 4, 4, false, sim::ExchangeBackend::Direct, 3},
         RepairCase{71, 11, 2, 2, 2, true, sim::ExchangeBackend::Direct, 2},
         RepairCase{72, 10, 3, 2, 2, false, sim::ExchangeBackend::TwoDCA, 2},
-        RepairCase{73, 9, 2, 2, 4, true, sim::ExchangeBackend::Butterfly, 4},
+        RepairCase{73, 9, 2, 2, 4, true, sim::ExchangeBackend::TwoDCA, 4},
         RepairCase{74, 10, 1, 1, 1, false, sim::ExchangeBackend::Direct, 3}));
 
 // ------------------------------------- service-level epoch semantics

@@ -33,7 +33,7 @@ struct SweepCase {
   int rows, cols;
   uint64_t e_th, h_th;
   bool sub_iter;
-  bool forwarding;
+  sim::ExchangeBackend exchange;
 };
 
 class BfsSweep : public ::testing::TestWithParam<SweepCase> {};
@@ -58,7 +58,7 @@ TEST_P(BfsSweep, EveryConfigurationValidates) {
                                      {c.e_th, c.h_th});
     bfs::Bfs15dOptions opts;
     opts.sub_iteration_direction = c.sub_iter;
-    opts.l2l_forwarding = c.forwarding;
+    opts.exchange.backend = c.exchange;
     auto res = bfs::bfs15d_run(ctx, part, root, opts);
     auto gathered =
         ctx.world.allgatherv(std::span<const Vertex>(res.parent));
@@ -72,25 +72,28 @@ TEST_P(BfsSweep, EveryConfigurationValidates) {
     ASSERT_EQ(parent[i] != kNoVertex, ref[i] != kNoVertex) << "vertex " << i;
 }
 
+constexpr auto kDirect = sim::ExchangeBackend::Direct;
+constexpr auto k2dca = sim::ExchangeBackend::TwoDCA;
+
 INSTANTIATE_TEST_SUITE_P(
     Random, BfsSweep,
     ::testing::Values(
-        SweepCase{101, 10, 2, 2, 128, 16, true, false},
-        SweepCase{102, 10, 1, 3, 64, 8, true, true},
-        SweepCase{103, 10, 3, 1, 256, 64, false, false},
-        SweepCase{104, 11, 2, 2, 512, 128, true, false},
-        SweepCase{105, 9, 2, 3, 32, 4, true, true},
-        SweepCase{106, 10, 3, 3, 128, 128, false, true},
-        SweepCase{107, 11, 2, 2, 1u << 20, 1u << 20, true, false},
-        SweepCase{108, 9, 4, 2, 16, 2, true, false},
-        SweepCase{109, 10, 2, 4, 2048, 1, true, true},
-        SweepCase{110, 11, 1, 1, 128, 32, false, false},
-        SweepCase{111, 10, 3, 2, 96, 24, true, false},
-        SweepCase{112, 9, 1, 5, 48, 12, false, true},
-        SweepCase{113, 11, 4, 4, 256, 32, true, true},
-        SweepCase{114, 10, 2, 2, 8, 8, true, false},
-        SweepCase{115, 9, 5, 1, 512, 2, true, false},
-        SweepCase{116, 10, 4, 3, 64, 64, false, false}));
+        SweepCase{101, 10, 2, 2, 128, 16, true, kDirect},
+        SweepCase{102, 10, 1, 3, 64, 8, true, k2dca},
+        SweepCase{103, 10, 3, 1, 256, 64, false, kDirect},
+        SweepCase{104, 11, 2, 2, 512, 128, true, kDirect},
+        SweepCase{105, 9, 2, 3, 32, 4, true, k2dca},
+        SweepCase{106, 10, 3, 3, 128, 128, false, k2dca},
+        SweepCase{107, 11, 2, 2, 1u << 20, 1u << 20, true, kDirect},
+        SweepCase{108, 9, 4, 2, 16, 2, true, kDirect},
+        SweepCase{109, 10, 2, 4, 2048, 1, true, k2dca},
+        SweepCase{110, 11, 1, 1, 128, 32, false, kDirect},
+        SweepCase{111, 10, 3, 2, 96, 24, true, kDirect},
+        SweepCase{112, 9, 1, 5, 48, 12, false, k2dca},
+        SweepCase{113, 11, 4, 4, 256, 32, true, k2dca},
+        SweepCase{114, 10, 2, 2, 8, 8, true, kDirect},
+        SweepCase{115, 9, 5, 1, 512, 2, true, kDirect},
+        SweepCase{116, 10, 4, 3, 64, 64, false, kDirect}));
 
 // ------------------------------------------------------- collective fuzz
 

@@ -1,18 +1,15 @@
-// Tests for the sorting substrate: OCS-RMA bucket sort, baselines, PARADIS
-// in-place radix sort and PSRS global sort.  Heavy use of parameterized
-// property tests: permutations preserved, bucket/order invariants hold.
+// Tests for the sorting substrate: OCS-RMA bucket sort, baselines and
+// PARADIS in-place radix sort.  Heavy use of parameterized property tests:
+// permutations preserved, bucket/order invariants hold.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
 #include <numeric>
+#include <set>
 
-#include "sim/runtime.hpp"
 #include "sort/bucket_baselines.hpp"
 #include "sort/ocs_rma.hpp"
 #include "sort/paradis.hpp"
-#include "sort/psrs.hpp"
-#include "sort/two_stage.hpp"
 #include "support/random.hpp"
 
 namespace sunbfs::sort {
@@ -214,107 +211,6 @@ TEST(Paradis, FullWidthKeys) {
   EXPECT_EQ(v, expected);
 }
 
-// ------------------------------------------------------------------ PSRS
-
-struct PsrsCase {
-  int rows, cols;
-  size_t per_rank;
-};
-
-class PsrsTest : public ::testing::TestWithParam<PsrsCase> {};
-
-TEST_P(PsrsTest, GloballySortedAndPermutation) {
-  auto c = GetParam();
-  int p = c.rows * c.cols;
-  std::vector<std::vector<uint64_t>> inputs(static_cast<size_t>(p));
-  std::multiset<uint64_t> all;
-  for (int r = 0; r < p; ++r) {
-    inputs[size_t(r)] = random_keys(c.per_rank + size_t(r % 3), 100 + r);
-    all.insert(inputs[size_t(r)].begin(), inputs[size_t(r)].end());
-  }
-  std::vector<std::vector<uint64_t>> outputs(static_cast<size_t>(p));
-  sim::run_spmd(sim::MeshShape{c.rows, c.cols}, [&](sim::RankContext& ctx) {
-    outputs[size_t(ctx.rank)] = psrs_sort(
-        ctx.world, inputs[size_t(ctx.rank)], [](uint64_t v) { return v; });
-  });
-  // Each rank locally sorted; concatenation globally sorted; permutation.
-  std::multiset<uint64_t> seen;
-  uint64_t prev = 0;
-  for (int r = 0; r < p; ++r) {
-    for (uint64_t v : outputs[size_t(r)]) {
-      ASSERT_GE(v, prev);
-      prev = v;
-      seen.insert(v);
-    }
-  }
-  EXPECT_EQ(seen, all);
-}
-
-INSTANTIATE_TEST_SUITE_P(Meshes, PsrsTest,
-                         ::testing::Values(PsrsCase{1, 1, 1000},
-                                           PsrsCase{1, 2, 500},
-                                           PsrsCase{2, 2, 2000},
-                                           PsrsCase{2, 4, 1500},
-                                           PsrsCase{1, 3, 0}));
-
-TEST(Psrs, BalanceIsReasonableOnUniformKeys) {
-  const int p = 4;
-  std::vector<std::vector<uint64_t>> inputs(p);
-  for (int r = 0; r < p; ++r) inputs[size_t(r)] = random_keys(10000, 7 + r);
-  std::vector<size_t> sizes(p);
-  sim::run_spmd(sim::MeshShape{2, 2}, [&](sim::RankContext& ctx) {
-    auto out = psrs_sort(ctx.world, inputs[size_t(ctx.rank)],
-                         [](uint64_t v) { return v; });
-    sizes[size_t(ctx.rank)] = out.size();
-  });
-  size_t total = 0;
-  for (size_t s : sizes) total += s;
-  EXPECT_EQ(total, 40000u);
-  for (size_t s : sizes) {
-    EXPECT_GT(s, total / p / 2);
-    EXPECT_LT(s, total / p * 2);
-  }
-}
-
-TEST(Psrs, DuplicateHeavyKeys) {
-  // Skewed key distribution (many duplicates) must still sort correctly.
-  const int p = 4;
-  std::vector<std::vector<uint64_t>> inputs(p);
-  for (int r = 0; r < p; ++r) inputs[size_t(r)] = random_keys(5000, r + 1, 5);
-  std::vector<std::vector<uint64_t>> outputs(p);
-  sim::run_spmd(sim::MeshShape{1, 4}, [&](sim::RankContext& ctx) {
-    outputs[size_t(ctx.rank)] = psrs_sort(ctx.world, inputs[size_t(ctx.rank)],
-                                          [](uint64_t v) { return v; });
-  });
-  uint64_t prev = 0;
-  size_t total = 0;
-  for (auto& out : outputs)
-    for (uint64_t v : out) {
-      ASSERT_GE(v, prev);
-      prev = v;
-      ++total;
-    }
-  EXPECT_EQ(total, 20000u);
-}
-
-
-TEST(Psrs, AllEqualKeysDegenerateSplitters) {
-  // Every sample equals every pivot: the partition must still conserve and
-  // order the data (everything lands left of the pivots).
-  const int p = 4;
-  std::vector<std::vector<uint64_t>> inputs(p);
-  for (auto& in : inputs) in.assign(3000, 42);
-  size_t total = 0;
-  sim::run_spmd(sim::MeshShape{2, 2}, [&](sim::RankContext& ctx) {
-    auto out = psrs_sort(ctx.world, inputs[size_t(ctx.rank)],
-                         [](uint64_t v) { return v; });
-    uint64_t n = ctx.world.allreduce_sum(uint64_t(out.size()));
-    if (ctx.rank == 0) total = n;
-    for (uint64_t v : out) ASSERT_EQ(v, 42u);
-  });
-  EXPECT_EQ(total, 12000u);
-}
-
 TEST(OcsRma, MoreBucketsThanRecords) {
   chip::Chip chip(chip::Geometry::tiny());
   std::vector<uint64_t> in = {3, 7, 11};
@@ -329,88 +225,6 @@ TEST(OcsRma, MoreBucketsThanRecords) {
   EXPECT_EQ(res.offsets[4] - res.offsets[3], 1u);   // bucket 3
   EXPECT_EQ(res.offsets[8] - res.offsets[7], 1u);   // bucket 7
   EXPECT_EQ(res.offsets[12] - res.offsets[11], 1u); // bucket 11
-}
-
-TEST(TwoStage, SubrangeLargerThanDestination) {
-  chip::Chip chip(chip::Geometry::tiny());
-  std::vector<uint32_t> dest(50, 0);
-  std::vector<UpdateMsg<uint32_t>> msgs;
-  for (uint32_t i = 0; i < 50; ++i) msgs.push_back({i, i});
-  auto res = two_stage_update<uint32_t>(
-      chip, msgs, std::span(dest),
-      [](uint32_t& slot, const uint32_t& v) {
-        slot = v;
-        return true;
-      },
-      4096, 1, OcsParams{.buffer_bytes = 128});
-  EXPECT_EQ(res.applied, 50u);
-  for (uint32_t i = 0; i < 50; ++i) ASSERT_EQ(dest[i], i);
-}
-
-// ------------------------------------------------------------- two-stage
-
-TEST(TwoStage, AppliesFirstWinsUpdatesExclusively) {
-  chip::Chip chip(chip::Geometry::tiny());
-  const size_t n = 4096;
-  std::vector<uint64_t> dest(n, ~0ull);
-  Xoshiro256StarStar rng(13);
-  std::vector<UpdateMsg<uint64_t>> msgs(20000);
-  for (auto& m : msgs) {
-    m.dst = rng.next_below(n);
-    m.value = rng.next_below(1000);
-  }
-  // min-wins apply is order-insensitive, so the result is deterministic.
-  auto res = two_stage_update<uint64_t>(
-      chip, msgs, std::span(dest),
-      [](uint64_t& slot, const uint64_t& v) {
-        if (v < slot) {
-          slot = v;
-          return true;
-        }
-        return false;
-      },
-      256, 2, OcsParams{.buffer_bytes = 256});
-  std::vector<uint64_t> expected(n, ~0ull);
-  for (const auto& m : msgs) expected[m.dst] = std::min(expected[m.dst], m.value);
-  EXPECT_EQ(dest, expected);
-  EXPECT_GE(res.applied, n / 2);  // most slots got at least one winner
-  EXPECT_GT(res.report.modeled_seconds, 0.0);
-}
-
-TEST(TwoStage, ApplyPassUsesNoAtomicsOrGst) {
-  chip::Chip chip(chip::Geometry::tiny());
-  std::vector<uint32_t> dest(1024, 0);
-  std::vector<UpdateMsg<uint32_t>> msgs(5000);
-  Xoshiro256StarStar rng(14);
-  for (auto& m : msgs) {
-    m.dst = rng.next_below(dest.size());
-    m.value = 1;
-  }
-  auto res = two_stage_update<uint32_t>(
-      chip, msgs, std::span(dest),
-      [](uint32_t& slot, const uint32_t& v) {
-        slot += v;  // exclusive ownership makes plain += safe
-        return true;
-      },
-      128, 1, OcsParams{.buffer_bytes = 256});
-  // Single CG: the whole pipeline is atomic-free; no uncached stores either.
-  EXPECT_EQ(res.report.totals.atomic_ops, 0u);
-  EXPECT_EQ(res.report.totals.gst_ops, 0u);
-  uint64_t total = 0;
-  for (uint32_t d : dest) total += d;
-  EXPECT_EQ(total, msgs.size());
-  EXPECT_EQ(res.applied, msgs.size());
-}
-
-TEST(TwoStage, EmptyInputsAreNoops) {
-  chip::Chip chip(chip::Geometry::tiny());
-  std::vector<uint64_t> dest(16, 7);
-  std::vector<UpdateMsg<uint64_t>> none;
-  auto res = two_stage_update<uint64_t>(
-      chip, none, std::span(dest),
-      [](uint64_t&, const uint64_t&) { return false; });
-  EXPECT_EQ(res.applied, 0u);
-  for (uint64_t d : dest) EXPECT_EQ(d, 7u);
 }
 
 }  // namespace

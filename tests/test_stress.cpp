@@ -11,7 +11,6 @@
 #include "partition/part15d.hpp"
 #include "sim/runtime.hpp"
 #include "sort/ocs_rma.hpp"
-#include "sort/psrs.hpp"
 #include "support/log.hpp"
 #include "support/random.hpp"
 
@@ -164,40 +163,6 @@ TEST(ChipStress, RepeatedKernelsReuseLdmCleanly) {
         1);
     EXPECT_GT(report.max_cycles, 0.0);
   }
-}
-
-TEST(PsrsStress, StructPayloadsAcrossMesh) {
-  struct Rec {
-    uint64_t key;
-    uint32_t payload;
-    uint32_t pad;
-  };
-  const int p = 6;
-  std::vector<std::vector<Rec>> inputs(p);
-  Xoshiro256StarStar rng(31);
-  for (auto& in : inputs) {
-    in.resize(2000);
-    for (auto& r : in) {
-      r.key = rng.next_below(1 << 20);
-      r.payload = uint32_t(r.key * 7);
-    }
-  }
-  std::vector<std::vector<Rec>> outputs(p);
-  sim::run_spmd(sim::MeshShape{2, 3}, [&](sim::RankContext& ctx) {
-    outputs[size_t(ctx.rank)] = sort::psrs_sort(
-        ctx.world, inputs[size_t(ctx.rank)],
-        [](const Rec& r) { return r.key; });
-  });
-  uint64_t prev = 0;
-  size_t total = 0;
-  for (const auto& out : outputs)
-    for (const auto& r : out) {
-      ASSERT_GE(r.key, prev);
-      ASSERT_EQ(r.payload, uint32_t(r.key * 7));  // payload intact
-      prev = r.key;
-      ++total;
-    }
-  EXPECT_EQ(total, size_t(p) * 2000);
 }
 
 TEST(Reporting, ToStringSmoke) {
