@@ -78,8 +78,8 @@ int main(int argc, char** argv) {
     // on the deterministic search-phase byte counts (the breakdown above ran
     // with the adaptive encoding on — the default).
     bfs::RunnerConfig raw_cfg = cfg;
-    raw_cfg.bfs.encoding.enabled = false;
-    raw_cfg.bfs1d.encoding.enabled = false;
+    raw_cfg.bfs.exchange.encoding = false;
+    raw_cfg.bfs1d.exchange.encoding = false;
     auto raw = bfs::run_graph500(topo, raw_cfg);
     const double a2a_red =
         raw.search_alltoallv_bytes

@@ -240,8 +240,8 @@ int main(int argc, char** argv) {
     const uint64_t ag_on = result.search_allgather_bytes;
     bfs::RunnerConfig off_cfg = cfg;
     off_cfg.validate = false;
-    off_cfg.bfs.encoding.enabled = false;
-    off_cfg.bfs1d.encoding.enabled = false;
+    off_cfg.bfs.exchange.encoding = false;
+    off_cfg.bfs1d.exchange.encoding = false;
     auto off = bfs::run_graph500(topo, off_cfg);
     const double a2a_red =
         off.search_alltoallv_bytes

@@ -60,7 +60,7 @@ int main(int argc, char** argv) {
       };
       auto measure = [&](bool encoded) {
         analytics::SsspOptions o = cfg.sssp;
-        o.encoding.enabled = encoded;
+        o.exchange.encoding = encoded;
         uint64_t bytes0 = ctx.stats.total_bytes_sent();
         double comm0 = ctx.stats.total_modeled_s();
         ThreadCpuTimer t;

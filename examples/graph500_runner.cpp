@@ -77,12 +77,9 @@ int main(int argc, char** argv) {
   cfg.bfs1d.threads_per_rank = cfg.bfs.threads_per_rank;
   cfg.bfsasync.threads_per_rank = cfg.bfs.threads_per_rank;
   cfg.validate = !cli.has("--no-validate");
-  cfg.bfs.encoding.enabled = !cli.has("--no-encoding");
-  cfg.bfs1d.encoding.enabled = cfg.bfs.encoding.enabled;
-  cfg.bfsasync.encoding.enabled = cfg.bfs.encoding.enabled;
-  sim::ExchangeBackend backend = sim::ExchangeBackend::Direct;
+  sim::ExchangeOptions exchange{.encoding = !cli.has("--no-encoding")};
   if (!sim::parse_exchange_backend(cli.str("--exchange", "direct"),
-                                   &backend)) {
+                                   &exchange.backend)) {
     std::fprintf(stderr, "%s\n\n%s",
                  bfs::unknown_choice_error("--exchange",
                                            cli.str("--exchange"),
@@ -91,9 +88,9 @@ int main(int argc, char** argv) {
                  cli.usage().c_str());
     return 2;
   }
-  cfg.bfs.exchange.backend = backend;
-  cfg.bfs1d.exchange.backend = backend;
-  cfg.bfsasync.exchange.backend = backend;
+  cfg.bfs.exchange = exchange;
+  cfg.bfs1d.exchange = exchange;
+  cfg.bfsasync.exchange = exchange;
   cfg.bfs.sub_iteration_direction = !cli.has("--baseline-direction");
   if (!bfs::parse_engine_kind(cli.str("--engine", "1.5d"), &cfg.engine)) {
     std::fprintf(stderr, "%s\n\n%s",
@@ -131,7 +128,7 @@ int main(int argc, char** argv) {
               cfg.graph.scale, cfg.graph.edge_factor,
               bfs::engine_kind_name(cfg.engine));
   std::printf("machine: %s\n", topo.to_string().c_str());
-  std::printf("exchange: %s\n", sim::exchange_backend_name(backend));
+  std::printf("exchange: %s\n", sim::exchange_backend_name(exchange.backend));
   std::printf("thresholds: E >= %llu, H >= %llu; %d search keys; "
               "validation %s\n\n",
               (unsigned long long)cfg.thresholds.e,
@@ -200,8 +197,8 @@ int main(int argc, char** argv) {
               (unsigned long long)result.search_alltoallv_bytes,
               (unsigned long long)result.search_alltoallv_inter_bytes,
               (unsigned long long)result.search_allgather_bytes,
-              cfg.bfs.encoding.enabled ? "on" : "off",
-              sim::exchange_backend_name(backend));
+              exchange.encoding ? "on" : "off",
+              sim::exchange_backend_name(exchange.backend));
   std::printf("\nharmonic mean: %.3f GTEPS (modeled)\n",
               result.harmonic_gteps);
   if (cfg.validate)
@@ -223,8 +220,8 @@ int main(int argc, char** argv) {
                             std::to_string(mesh.cols));
     report.info("engine", bfs::engine_kind_name(cfg.engine));
     report.info("faults", cfg.faults ? "on" : "off");
-    report.info("encoding", cfg.bfs.encoding.enabled ? "on" : "off");
-    report.info("exchange", sim::exchange_backend_name(backend));
+    report.info("encoding", exchange.encoding ? "on" : "off");
+    report.info("exchange", sim::exchange_backend_name(exchange.backend));
     result.to_report(report);
     if (report.write_file(metrics_out))
       std::printf("metrics: wrote %s\n", metrics_out.c_str());

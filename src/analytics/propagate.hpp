@@ -39,11 +39,11 @@
 /// whose fixed-point integer ranks keep the sum exact; analytics/pagerank.hpp).
 ///
 /// The L→L messages travel through an ExchangeChannel, the staging path
-/// every BFS engine uses: wire-encoded when `encoding` is enabled and routed
-/// through the staged plan `exchange` selects (sim/exchange.hpp).  A program
-/// may also declare `static constexpr bool kMinGather = true` when its
-/// combine() is min; staged plans then keep only the smallest contribution
-/// per destination vertex at every hop.
+/// every BFS engine uses, configured from `exchange` (sim/exchange.hpp):
+/// routed through the staged plan it selects, wire-encoded when it says so.
+/// A program may also declare `static constexpr bool kMinGather = true` when
+/// its combine() is min; staged plans then keep only the smallest
+/// contribution per destination vertex at every hop.
 namespace sunbfs::analytics {
 
 struct PropagateResult {
@@ -58,12 +58,11 @@ struct PropagateOptions {
   /// Must stay false for programs whose gather must see every neighbor
   /// each round (sums, e.g. PageRank).
   bool incremental = false;
-  /// Wire encoding of the L→L round.  Off by default: on this traffic the
-  /// encode/decode pass costs more host time than the bytes it saves.
-  sim::EncodingOptions encoding{.enabled = false};
-  /// Exchange plan for the L→L round; results are identical on every
-  /// backend (ctest -L differential).
-  sim::ExchangeOptions exchange{};
+  /// Exchange plan and wire encoding of the L→L round; results are
+  /// identical under every setting (ctest -L differential).  Encoding is
+  /// off by default: on this traffic the encode/decode pass costs more host
+  /// time than the bytes it saves.
+  sim::ExchangeOptions exchange{.encoding = false};
 };
 
 /// A program whose combine() is min (it declares kMinGather = true).
@@ -95,10 +94,8 @@ class PropagationEngine {
         eh_value_(k_, program_.identity()),
         l_value_(nloc_, program_.identity()),
         eh_changed_(k_),
-        l_changed_(nloc_),
-        plan_(sim::ExchangePlan::build(options.exchange.backend, ctx.nranks(),
-                                       ctx.mesh)) {
-    channel_.set_encoding(options.encoding);
+        l_changed_(nloc_) {
+    channel_.configure(ctx, options.exchange);
     // Every vertex is a source in the first round.
     for (uint64_t i = 0; i < k_; ++i) eh_changed_.set(i);
     for (uint64_t l = 0; l < nloc_; ++l) l_changed_.set(l);
@@ -182,7 +179,7 @@ class PropagationEngine {
         if (eh_active(uint64_t(h)))
           acc_l[l] = program_.combine(acc_l[l], contrib_eh(uint64_t(h), gl));
     }
-    channel_.begin(size_t(ctx_.nranks()), 1, plan_, ctx_.rank);
+    channel_.begin_world(1);
     for (uint64_t l = 0; l < nloc_; ++l) {
       if (!l_active(l)) continue;
       for (graph::Vertex l2 : part_.l2l.neighbors(l)) {
@@ -245,7 +242,6 @@ class PropagationEngine {
   uint64_t k_, nloc_;
   std::vector<Value> eh_value_, l_value_;
   BitVector eh_changed_, l_changed_;
-  sim::ExchangePlan plan_;
   sim::ExchangeChannel<Msg> channel_;
   ThreadPool pool_{1};  // the L→L round is staged serially; size 1 inlines
 };

@@ -58,9 +58,7 @@ std::vector<Dist> sssp15d(sim::RankContext& ctx,
       ctx, options.recovery, [&](sim::ReplayGuard& guard) {
         PropagationEngine<RelaxProgram> engine(
             ctx, part, RelaxProgram{options.weight_seed, options.max_weight},
-            {.incremental = true,
-             .encoding = options.encoding,
-             .exchange = options.exchange});
+            {.incremental = true, .exchange = options.exchange});
         engine.initialize(
             [&](Vertex v) { return v == root ? Dist(0) : kInfDist; });
         for (int round = 1; round <= (1 << 20); ++round) {

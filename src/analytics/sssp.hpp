@@ -36,11 +36,10 @@ struct SsspOptions {
   /// contribution or a planned rank failure (sim/recover.hpp), with results
   /// bit-identical to a fault-free run.
   sim::RecoveryOptions recovery;
-  /// Wire encoding and exchange plan of the L-to-L relaxation round
-  /// (PropagateOptions).  Raw and direct by default; distances are
+  /// Exchange plan and wire encoding of the L-to-L relaxation round
+  /// (PropagateOptions).  Direct and raw by default; distances are
   /// bit-identical under every setting (ctest -L differential).
-  sim::EncodingOptions encoding{.enabled = false};
-  sim::ExchangeOptions exchange{};
+  sim::ExchangeOptions exchange{.encoding = false};
 };
 
 /// One cross-rank relaxation: candidate distance `value` for global vertex

@@ -111,16 +111,19 @@ class Engine {
       }
       if (owner == ctx.rank && kid >= num_e_) owned_h_ids_.push_back(kid);
     }
-    // Prime the shared staging pools to their worst-case round shapes so no
-    // exchange after construction ever grows a buffer (comm.staging_allocs
-    // stays flat after the warmup root; docs/PERF.md).  Bounds: a push round
-    // stages at most one message per dedup'd target — a global L vertex
-    // (space.total) or an EH id (k_) — and a receiver gets at most one
-    // message per sender per target it is responsible for.
+    // Configure the shared staging pools (the world plan routes the L2L
+    // push and the delayed-parent delivery; the row/column sub-exchanges
+    // already are a manual mesh split and always run direct), then prime
+    // them to their worst-case round shapes so no exchange after
+    // construction ever grows a buffer (comm.staging_allocs stays flat after
+    // the warmup root; docs/PERF.md).  Bounds: a push round stages at most
+    // one message per dedup'd target — a global L vertex (space.total) or an
+    // EH id (k_) — and a receiver gets at most one message per sender per
+    // target it is responsible for.
     {
-      ws_.compact().set_encoding(opts_.encoding);
-      ws_.visits().set_encoding(opts_.encoding);
-      ws_.frontier().set_encoding(opts_.encoding);
+      ws_.compact().configure(ctx_, opts_.exchange);
+      ws_.visits().configure(ctx_, opts_.exchange);
+      ws_.frontier().set_encoded(opts_.exchange.encoding);
       const size_t nt = pool_.size();
       const size_t ranks = size_t(mesh_.ranks());
       const size_t cols = size_t(mesh_.cols);
@@ -131,21 +134,12 @@ class Engine {
       // compact(): H2L push (cols parts, <= total), L2H push (cols parts,
       // <= k_), L2L push (ranks parts, <= total).
       const size_t c_send = std::max(total, kmsgs);
-      ws_.compact().prime(ranks, nt, lane(c_send), c_send,
+      ws_.compact().prime(nt, lane(c_send), c_send,
                           std::max(ranks * local, cols * kmsgs));
       // visits(): the delayed-parent delivery (ranks parts); a rank sends
       // one message per EH id it owns and receives at most one per EH id,
       // so k_ bounds both sides.
-      ws_.visits().prime(ranks, nt, lane(kmsgs), kmsgs, kmsgs + ranks);
-      // Staged exchange plan for the two world-wide exchanges (L2L push,
-      // delayed-parent delivery); the row/column sub-exchanges above
-      // already are a manual mesh split and always run direct.
-      world_plan_ = sim::ExchangePlan::build(opts_.exchange.backend,
-                                             mesh_.ranks(), mesh_);
-      ws_.compact().prime_staged(world_plan_, ctx_.rank, nt, lane(c_send),
-                                 c_send);
-      ws_.visits().prime_staged(world_plan_, ctx_.rank, nt, lane(kmsgs),
-                                kmsgs);
+      ws_.visits().prime(nt, lane(kmsgs), kmsgs, kmsgs + ranks);
     }
   }
 
@@ -692,8 +686,7 @@ class Engine {
       if (!bottom_up) {
         dedup_l_.reset();
         auto& staging = ws_.compact();
-        staging.begin(size_t(mesh_.ranks()), pool_.size(), world_plan_,
-                      ctx_.rank);
+        staging.begin_world(pool_.size());
         pool_.parallel_for(0, l_curr_.word_count(),
                            [&](size_t lo, size_t hi) {
           l_curr_.for_each_set_words(lo, hi, [&](size_t lloc) {
@@ -775,8 +768,7 @@ class Engine {
     // Deliver reduced parents to the owners of the original vertex ids
     // (destination vertices are unique, so receiver writes are race-free).
     auto& staging = ws_.visits();
-    staging.begin(size_t(ctx_.nranks()), pool_.size(), world_plan_,
-                  ctx_.rank);
+    staging.begin_world(pool_.size());
     par_ranges(size_t(part_.eh_space.count(ctx_.rank)),
                [&](size_t lane, size_t lo, size_t hi) {
       for (uint64_t i = lo; i < hi; ++i) {
@@ -859,9 +851,6 @@ class Engine {
   int my_row_, my_col_;
   uint64_t k_, num_e_;
   Vertex root_;
-  /// Staged route for the two world-wide exchanges; degenerate (0 stages)
-  /// under the Direct backend.
-  sim::ExchangePlan world_plan_;
 
   /// Intra-rank resources: the worker pool (sized by
   /// resolve_threads_per_rank from the options — never a literal) plus the

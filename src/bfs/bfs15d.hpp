@@ -71,23 +71,19 @@ struct Bfs15dOptions {
   double global_pull_ratio = 0.04;
 
   // --- fault recovery ------------------------------------------------------
-  /// Checkpoint/retry knobs used when the runtime runs under
-  /// FaultPolicy::Recover with a FaultPlan installed (sim/recover.hpp): the
-  /// engine checkpoints its frontier bitmaps and parent array at level
-  /// boundaries.
+  /// Retry budget used when the runtime runs under FaultPolicy::Recover
+  /// with a FaultPlan installed (sim/recover.hpp): the engine checkpoints
+  /// its frontier bitmaps and parent array at level boundaries.
   sim::RecoveryOptions recovery;
 
-  /// Adaptive wire encoding for every staged exchange and frontier gather
-  /// of the seven sub-kernels (sim/encoding.hpp); applied to the workspace
-  /// pools at engine construction.
-  sim::EncodingOptions encoding;
-
-  /// Exchange plan backend for the world-wide exchanges — the L2L push and
-  /// the delayed-parent delivery (sim/exchange.hpp).  TwoDCA is the paper's
-  /// §4.4 hierarchical L2L route (row hop to the destination's column, then
-  /// column delivery).  The row/column sub-exchanges (H2L, L2H) already are
-  /// a manual mesh split and always run direct.  Parents stay bit-identical
-  /// across backends (ctest -L differential).
+  /// Exchange plan of the world-wide exchanges — the L2L push and the
+  /// delayed-parent delivery — and wire encoding of every staged exchange
+  /// and frontier gather of the seven sub-kernels (sim/exchange.hpp);
+  /// applied to the workspace pools at engine construction.  TwoDCA is the
+  /// paper's §4.4 hierarchical L2L route (row hop to the destination's
+  /// column, then column delivery).  The row/column sub-exchanges (H2L, L2H)
+  /// already are a manual mesh split and always run direct.  Parents stay
+  /// bit-identical across settings (ctest -L differential).
   sim::ExchangeOptions exchange;
 };
 

@@ -47,25 +47,19 @@ Bfs1dResult bfs1d_run(sim::RankContext& ctx, const partition::Part1d& part,
         options.threads_per_rank, size_t(ctx.nranks())));
   BfsWorkspace& ws = options.workspace ? *options.workspace : *owned_ws;
   ThreadPool& pool = ws.pool();
-  // Exchange plan for the push alltoallv; a degenerate plan (Direct backend,
-  // or a mesh the backend cannot split) keeps every round on the plain
-  // collective.
-  const sim::ExchangePlan plan = sim::ExchangePlan::build(
-      options.exchange.backend, ctx.nranks(), ctx.mesh);
   {
-    // Prime the staging pool to its worst-case round so no exchange below
-    // ever grows a buffer (comm.staging_allocs stays flat after the warmup
-    // root; docs/PERF.md).  A push level stages at most one message per
-    // dedup'd global target, and each of the `ranks` senders delivers at
-    // most one message per locally owned vertex.
+    // Configure the push channel's plan and encoding, then prime it to its
+    // worst-case round so no exchange below ever grows a buffer
+    // (comm.staging_allocs stays flat after the warmup root; docs/PERF.md).
+    // A push level stages at most one message per dedup'd global target,
+    // and each of the `ranks` senders delivers at most one message per
+    // locally owned vertex.
     const size_t nt = pool.size();
-    const size_t ranks = size_t(ctx.nranks());
     const size_t total = size_t(space.total);
-    ws.compact().set_encoding(options.encoding);
-    ws.frontier().set_encoding(options.encoding);
-    ws.compact().prime(ranks, nt, total / nt + 65, total,
-                       ranks * size_t(local_count));
-    ws.compact().prime_staged(plan, ctx.rank, nt, total / nt + 65, total);
+    ws.compact().configure(ctx, options.exchange);
+    ws.frontier().set_encoded(options.exchange.encoding);
+    ws.compact().prime(nt, total / nt + 65, total,
+                       size_t(ctx.nranks()) * size_t(local_count));
   }
 
   std::vector<Vertex> parent(local_count, kNoVertex);
@@ -133,7 +127,7 @@ Bfs1dResult bfs1d_run(sim::RankContext& ctx, const partition::Part1d& part,
       // per target is the max sender candidate (thread-count independent).
       dedup.reset();
       auto& staging = ws.compact();
-      staging.begin(size_t(ctx.nranks()), pool.size(), plan, ctx.rank);
+      staging.begin_world(pool.size());
       pool.parallel_for(0, curr.word_count(), [&](size_t lo, size_t hi) {
         curr.for_each_set_words(lo, hi, [&](size_t lloc) {
           for (Vertex v : part.adj.neighbors(lloc)) {

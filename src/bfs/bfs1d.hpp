@@ -3,7 +3,6 @@
 #include <vector>
 
 #include "partition/part1d.hpp"
-#include "sim/encoding.hpp"
 #include "sim/exchange.hpp"
 #include "sim/runtime.hpp"
 
@@ -24,14 +23,12 @@ struct Bfs1dOptions {
   /// staging buffers), shared across roots by the runner; null means a
   /// private one per run.
   BfsWorkspace* workspace = nullptr;
-  /// Checkpoint/retry knobs under FaultPolicy::Recover (sim/recover.hpp).
+  /// Retry budget under FaultPolicy::Recover (sim/recover.hpp).
   sim::RecoveryOptions recovery;
-  /// Adaptive wire encoding for the push alltoallv and the frontier
-  /// allgather (sim/encoding.hpp); applied to the workspace pools each run.
-  sim::EncodingOptions encoding;
-  /// Exchange plan backend for the push alltoallv (sim/exchange.hpp): the
-  /// direct collective or the 2D row/column split (2dca).
-  /// Parents stay bit-identical across backends (ctest -L differential).
+  /// Exchange plan of the push alltoallv — the direct collective or the 2D
+  /// row/column split (2dca) — and wire encoding of it and the frontier
+  /// allgather (sim/exchange.hpp); applied to the workspace pools each run.
+  /// Parents stay bit-identical across settings (ctest -L differential).
   sim::ExchangeOptions exchange;
 };
 

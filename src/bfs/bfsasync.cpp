@@ -84,20 +84,17 @@ BfsAsyncResult bfsasync_run(sim::RankContext& ctx,
         options.threads_per_rank, size_t(ctx.nranks())));
   BfsWorkspace& ws = options.workspace ? *options.workspace : *owned_ws;
   ThreadPool& pool = ws.pool();
-  const sim::ExchangePlan plan = sim::ExchangePlan::build(
-      options.exchange.backend, ctx.nranks(), ctx.mesh);
+  sim::ExchangeChannel<AsyncVisitMsg>& channel = ws.async_visits();
   {
     // Worst-case round: one message per dirty global target outbound, one
     // per locally owned vertex from each sender inbound — the same shape as
     // a bfs1d push level, so the same priming keeps staging_allocs flat
     // after the warmup root.
     const size_t nt = pool.size();
-    const size_t ranks = size_t(ctx.nranks());
     const size_t total = size_t(space.total);
-    ws.async_visits().set_encoding(options.encoding);
-    ws.async_visits().prime(ranks, nt, total / nt + 65, total,
-                            ranks * size_t(local_count));
-    ws.async_visits().prime_staged(plan, ctx.rank, nt, total / nt + 65, total);
+    channel.configure(ctx, options.exchange);
+    channel.prime(nt, total / nt + 65, total,
+                  size_t(ctx.nranks()) * size_t(local_count));
   }
 
   // Relaxed state: claims move monotonically down under fetch-min, so local
@@ -367,8 +364,7 @@ BfsAsyncResult bfsasync_run(sim::RankContext& ctx,
   // Ship this round's folded boundary claims and apply what arrives;
   // received improvements seed the next round's worklist.
   auto exchange_round = [&](sim::TerminationDetector& term) {
-    auto& staging = ws.async_visits();
-    staging.begin(size_t(ctx.nranks()), pool.size(), plan, ctx.rank);
+    channel.begin_world(pool.size());
     {
       const size_t n = remote_dirty.word_count();
       const size_t parts = std::min(std::max<size_t>(n, 1), pool.size());
@@ -384,7 +380,7 @@ BfsAsyncResult bfsasync_run(sim::RankContext& ctx,
             best_sent[v] = d;
             Vertex gv = Vertex(v);
             int owner = space.owner(gv);
-            staging.push(lane, size_t(owner),
+            channel.push(lane, size_t(owner),
                          AsyncVisitMsg{uint32_t(space.to_local(owner, gv)),
                                        claim_parent(packed), d});
             ++cnt;
@@ -397,7 +393,7 @@ BfsAsyncResult bfsasync_run(sim::RankContext& ctx,
       term.note_sent(sent);
       remote_dirty.reset();
     }
-    auto got = staging.exchange(ctx.world, pool);
+    auto got = channel.exchange(ctx.world, pool);
     term.note_received(got.size());
     const size_t m = got.size();
     // Window feedback, measured against a pre-apply snapshot so the counts
@@ -446,7 +442,7 @@ BfsAsyncResult bfsasync_run(sim::RankContext& ctx,
   // messages fold in flight; staged merging plans deliver k same-target
   // claims as one, so they run the stability-only variant (safe here — every
   // exchange completes inside the collective, see sim/termination.hpp).
-  sim::TerminationDetector term(plan.stages() == 0);
+  sim::TerminationDetector term(channel.plan().stages() == 0);
 
   if (space.owner(root) == ctx.rank) {
     uint64_t lloc = space.to_local(ctx.rank, root);
@@ -456,9 +452,9 @@ BfsAsyncResult bfsasync_run(sim::RankContext& ctx,
 
   // Checkpoint/rollback recovery (sim/recover.hpp): snapshot the relaxed
   // state (claims, worklist, resend suppression, termination credits) every
-  // checkpoint_interval exchange rounds.  The carried frontier depth (see the
-  // probe rider below) is round state like the window: a rollback must
-  // restore the value the checkpointed round's probe produced, not the
+  // sim::kCheckpointInterval exchange rounds.  The carried frontier depth
+  // (see the probe rider below) is round state like the window: a rollback
+  // must restore the value the checkpointed round's probe produced, not the
   // corrupted round's.
   uint32_t global_dmin = 0;
   struct Checkpoint {

@@ -33,14 +33,13 @@ struct BfsAsyncOptions {
   /// Optional externally owned per-rank workspace, shared across roots by
   /// the runner; null means a private one per run.
   BfsWorkspace* workspace = nullptr;
-  /// Checkpoint/retry knobs under FaultPolicy::Recover (sim/recover.hpp);
-  /// checkpoint_interval counts exchange rounds here (there are no levels
+  /// Retry budget under FaultPolicy::Recover (sim/recover.hpp); the
+  /// checkpoint cadence counts exchange rounds here (there are no levels
   /// to count).
   sim::RecoveryOptions recovery;
-  /// Adaptive wire encoding for the visit exchanges (sim/encoding.hpp).
-  sim::EncodingOptions encoding;
-  /// Exchange plan backend (sim/exchange.hpp).  Staged plans fold
-  /// same-target speculative visits in flight to their minimum depth.
+  /// Exchange plan and wire encoding of the visit exchanges
+  /// (sim/exchange.hpp).  Staged plans fold same-target speculative visits
+  /// in flight to their minimum depth.
   sim::ExchangeOptions exchange;
   /// Dense-round direction switch: the round gathers the settled frontier
   /// (all claims at the global minimum queued depth — final by monotonicity)

@@ -244,6 +244,8 @@ RunnerResult run_graph500(const sim::Topology& topology,
     }
     run.modeled_s = max_cpu + max_comm;
     run.wall_s = wall_s[size_t(i)];
+    run.parent_checksum = sim::checksum64(
+        parents[size_t(i)].data(), parents[size_t(i)].size() * sizeof(Vertex));
     if (config.engine == EngineKind::OneFiveD)
       run.stats = sum_stats(stats[size_t(i)]);
     if (config.validate) {

@@ -44,6 +44,9 @@ struct RootRun {
   double modeled_s = 0;  ///< max-rank compute CPU + modeled network time
   double wall_s = 0;     ///< host wall time (simulation cost)
   uint64_t traversed_edges = 0;
+  /// xxhash64 of the global parent array: the bit-identity probe the
+  /// differential suites compare across exchange plans.
+  uint64_t parent_checksum = 0;
   bool valid = false;
   std::string error;
   /// Per-rank stats summed (1.5D engine only).

@@ -16,10 +16,10 @@
 /// level/root stages and exchanges without allocating — staging_allocs()
 /// must stop moving after the warmup root.  See docs/PERF.md.
 ///
-/// The pools are ExchangeChannels (sim/exchange_channel.hpp): a direct round
-/// behaves exactly like the old A2aStaging, and the engines' world-wide
-/// exchanges can open staged rounds under the configured ExchangePlan
-/// backend (docs/COMM.md).
+/// The pools are ExchangeChannels (sim/exchange_channel.hpp), which each
+/// engine configures from its ExchangeOptions: a direct round behaves
+/// exactly like A2aStaging, and the world-wide exchanges run staged rounds
+/// under the plan the channel built (docs/COMM.md).
 namespace sunbfs::bfs {
 
 class BfsWorkspace {

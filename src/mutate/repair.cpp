@@ -13,19 +13,15 @@ using graph::kNoVertex;
 
 void RepairChannels::prime(sim::RankContext& ctx, size_t nthreads,
                            size_t arc_cap,
-                           const sim::EncodingOptions& encoding,
                            const sim::ExchangeOptions& exchange) {
-  plan = sim::ExchangePlan::build(exchange.backend, ctx.nranks(), ctx.mesh);
-  const size_t nparts = size_t(ctx.nranks());
   // One round stages at most one message per live arc from the frontier
   // side plus one echo per received message (BFS only), so 2x arc capacity
   // bounds every leg.  Repair stages serially (lane 0); `nthreads` lanes
   // are primed anyway so a pooled begin() never grows.
   const size_t cap = 2 * arc_cap + 64;
   auto prime_one = [&](auto& ch) {
-    ch.set_encoding(encoding);
-    ch.prime(nparts, nthreads, cap, cap, cap);
-    ch.prime_staged(plan, ctx.rank, nthreads, cap, cap);
+    ch.configure(ctx, exchange);
+    ch.prime(nthreads, cap, cap, cap);
   };
   prime_one(inv);
   prime_one(relax);
@@ -66,14 +62,12 @@ struct RepairState {
 /// revocation, returning the local index to invalidate or -1.
 template <typename SeedFn, typename PushFn, typename MsgFn>
 void run_cascade(sim::RankContext& ctx, const partition::VertexSpace& space,
-                 sim::ExchangeChannel<InvMsg>& ch,
-                 const sim::ExchangePlan& plan, ThreadPool& pool,
+                 sim::ExchangeChannel<InvMsg>& ch, ThreadPool& pool,
                  RepairState& st, RepairStats& stats, SeedFn&& seed_round,
                  PushFn&& push_from, MsgFn&& on_msg) {
-  const size_t nranks = size_t(ctx.nranks());
   bool first = true;
   for (;;) {
-    ch.begin(nranks, 1, plan, ctx.rank);
+    ch.begin_world(1);
     uint64_t staged = 0;
     auto push = [&](Vertex dst, uint64_t val) {
       ch.push(0, size_t(space.owner(dst)), InvMsg{dst, val});
@@ -117,7 +111,7 @@ RepairStats repair_bfs(sim::RankContext& ctx, const partition::Part1d& part,
   if (options.channels == nullptr) {
     owned_ch = std::make_unique<RepairChannels>();
     owned_ch->prime(ctx, 1, size_t(part.adj.arc_capacity()),
-                    options.encoding, options.exchange);
+                    options.exchange);
   }
   RepairChannels& ch =
       options.channels != nullptr ? *options.channels : *owned_ch;
@@ -144,7 +138,7 @@ RepairStats repair_bfs(sim::RankContext& ctx, const partition::Part1d& part,
   stats.seeds = st.wave.size();
 
   run_cascade(
-      ctx, space, ch.inv, ch.plan, pool, st, stats,
+      ctx, space, ch.inv, pool, st, stats,
       /*seed_round=*/[&](auto&& /*push*/) {},
       /*push_from=*/
       [&](uint32_t lv, auto&& push) {
@@ -175,10 +169,9 @@ RepairStats repair_bfs(sim::RankContext& ctx, const partition::Part1d& part,
   }
   stats.seeds += st.frontier.size();
 
-  const size_t nranks = size_t(ctx.nranks());
   std::vector<RelaxMsg> echoes;
   for (;;) {
-    ch.relax.begin(nranks, 1, ch.plan, ctx.rank);
+    ch.relax.begin_world(1);
     uint64_t staged = 0;
     for (uint32_t lv : st.frontier) {
       SUNBFS_ASSERT(depth[lv] >= 0);
@@ -248,7 +241,7 @@ RepairStats repair_sssp(sim::RankContext& ctx, const partition::Part1d& part,
   if (options.channels == nullptr) {
     owned_ch = std::make_unique<RepairChannels>();
     owned_ch->prime(ctx, 1, size_t(part.adj.arc_capacity()),
-                    options.encoding, options.exchange);
+                    options.exchange);
   }
   RepairChannels& ch =
       options.channels != nullptr ? *options.channels : *owned_ch;
@@ -267,7 +260,7 @@ RepairStats repair_sssp(sim::RankContext& ctx, const partition::Part1d& part,
   // round messages each deleted edge's revoked tightness from the endpoint
   // owners (the deleted arcs are already gone from the adjacency).
   run_cascade(
-      ctx, space, ch.inv, ch.plan, pool, st, stats,
+      ctx, space, ch.inv, pool, st, stats,
       /*seed_round=*/
       [&](auto&& push) {
         for (const graph::Edge& e : batch.deletes) {
@@ -311,9 +304,8 @@ RepairStats repair_sssp(sim::RankContext& ctx, const partition::Part1d& part,
   }
   (void)root;
 
-  const size_t nranks = size_t(ctx.nranks());
   for (;;) {
-    ch.dist.begin(nranks, 1, ch.plan, ctx.rank);
+    ch.dist.begin_world(1);
     uint64_t staged = 0;
     for (uint32_t lv : st.frontier) {
       Vertex g = space.to_global(ctx.rank, lv);

@@ -72,10 +72,8 @@ struct RepairChannels {
   sim::ExchangeChannel<InvMsg> inv;
   sim::ExchangeChannel<RelaxMsg> relax;
   sim::ExchangeChannel<analytics::DistMsg> dist;
-  sim::ExchangePlan plan;
 
   void prime(sim::RankContext& ctx, size_t nthreads, size_t arc_cap,
-             const sim::EncodingOptions& encoding,
              const sim::ExchangeOptions& exchange);
 
   uint64_t allocs() const {
@@ -88,7 +86,6 @@ struct RepairOptions {
   ThreadPool* pool = nullptr;
   /// Resident primed channels; null uses private per-call ones.
   RepairChannels* channels = nullptr;
-  sim::EncodingOptions encoding;
   sim::ExchangeOptions exchange;
   /// Modeled seconds per scanned arc, charged by the caller from
   /// RepairStats::compute_model_s (same scale as the engines'

@@ -59,14 +59,13 @@ MsbfsResult msbfs_run(sim::RankContext& ctx, const partition::Part1d& part,
   bfs::BfsWorkspace& ws = options.workspace ? *options.workspace : *owned_ws;
   ThreadPool& pool = ws.pool();
   std::unique_ptr<sim::ExchangeChannel<MsbfsMsg>> owned_staging;
-  if (!options.staging)
+  if (!options.staging) {
     owned_staging = std::make_unique<sim::ExchangeChannel<MsbfsMsg>>();
+    owned_staging->configure(ctx, options.exchange);
+  }
   sim::ExchangeChannel<MsbfsMsg>& staging =
       options.staging ? *options.staging : *owned_staging;
-  staging.set_encoding(options.encoding);
-  ws.frontier().set_encoding(options.encoding);
-  const sim::ExchangePlan plan = sim::ExchangePlan::build(
-      options.exchange.backend, ctx.nranks(), ctx.mesh);
+  ws.frontier().set_encoded(options.exchange.encoding);
 
   MsbfsResult result;
   result.width = width;
@@ -108,7 +107,7 @@ MsbfsResult msbfs_run(sim::RankContext& ctx, const partition::Part1d& part,
   };
 
   auto run_push = [&] {
-    staging.begin(size_t(ctx.nranks()), pool.size(), plan, ctx.rank);
+    staging.begin_world(pool.size());
     size_t parts = pool.size();
     pool.run_chunks(parts, [&](size_t lane) {
       uint64_t lo = local_count * lane / parts;
@@ -184,7 +183,7 @@ MsbfsResult msbfs_run(sim::RankContext& ctx, const partition::Part1d& part,
 
   // Checkpoint/rollback recovery (sim/recover.hpp), the bfs1d contract
   // extended to the batch: snapshot {visited, frontier, parents, levels}
-  // every checkpoint_interval levels.  Nothing is committed from a faulty
+  // every sim::kCheckpointInterval levels.  Nothing is committed from a faulty
   // pass, so the replayed batch stays bit-identical to a fault-free run.
   struct Checkpoint {
     std::vector<uint64_t> visited, curr;

@@ -59,16 +59,15 @@ struct MsbfsOptions {
   /// Optional resident per-rank workspace (pool + frontier gather buffer),
   /// shared across batches by the session.
   bfs::BfsWorkspace* workspace = nullptr;
-  /// Optional resident staging channel for the batched visit messages; null
-  /// means a private pool per run (cold — the session keeps a warm one).
+  /// Optional resident staging channel for the batched visit messages,
+  /// configured by its owner with `exchange`; null means a private pool per
+  /// run (cold — the session keeps a warm one).
   sim::ExchangeChannel<MsbfsMsg>* staging = nullptr;
-  /// Adaptive wire encoding for the visit alltoallv and the frontier-word
-  /// allgather (sim/encoding.hpp); applied to the pools each run.
-  sim::EncodingOptions encoding;
-  /// Exchange plan backend for the visit alltoallv (sim/exchange.hpp).
-  /// Results stay bit-identical across backends (ctest -L differential).
+  /// Exchange plan of the visit alltoallv and wire encoding of it and the
+  /// frontier-word allgather (sim/exchange.hpp).  Results stay bit-identical
+  /// across settings (ctest -L differential).
   sim::ExchangeOptions exchange;
-  /// Checkpoint/rollback recovery knobs, honoured when the rank runs under
+  /// Checkpoint/rollback retry budget, honoured when the rank runs under
   /// FaultPolicy::Recover (sim/recover.hpp; the per-level checkpoint holds
   /// the mask words + parents).  Results stay bit-identical to a fault-free
   /// run.

@@ -180,15 +180,11 @@ ServiceReport GraphSession::serve(const WorkloadConfig& workload,
     // Warm staging for the batched visits: one message per cross-rank
     // frontier edge, bounded by this rank's arc count.
     sim::ExchangeChannel<MsbfsMsg> staging;
-    const sim::ExchangePlan msbfs_plan = sim::ExchangePlan::build(
-        config_.msbfs.exchange.backend, ctx.nranks(), ctx.mesh);
     {
       const size_t nt = ws.pool().size();
       const size_t arcs = size_t(part1.adj.num_arcs()) + insert_headroom;
-      staging.set_encoding(config_.msbfs.encoding);
-      staging.prime(size_t(nranks), nt, arcs / nt + 64, arcs + 64, arcs + 64);
-      staging.prime_staged(msbfs_plan, ctx.rank, nt, arcs / nt + 64,
-                           arcs + 64);
+      staging.configure(ctx, config_.msbfs.exchange);
+      staging.prime(nt, arcs / nt + 64, arcs + 64, arcs + 64);
     }
     // Resident repair channels + landmark tree state: the sketch's owned
     // parent/depth slices survive between batches so repair_bfs can patch
@@ -198,7 +194,7 @@ ServiceReport GraphSession::serve(const WorkloadConfig& workload,
                            mcfg.repair_sketch && config_.cache.landmarks > 0;
     if (mutating)
       rchan.prime(ctx, 1, size_t(part1.adj.num_arcs()) + insert_headroom,
-                  config_.msbfs.encoding, config_.msbfs.exchange);
+                  config_.msbfs.exchange);
     std::vector<Vertex> lm_parent;
     std::vector<int32_t> lm_depth;
     bool lm_valid = false;

@@ -24,7 +24,7 @@
 /// stop moving — that is the `comm.staging_allocs` metric emitted by the
 /// runner (see docs/PERF.md).
 ///
-/// When wire encoding is enabled (EncodingOptions, the default), the flat
+/// When wire encoding is on (ExchangeOptions::encoding, the default), the flat
 /// payload makes one extra hop: each destination block is sorted, measured
 /// and serialized under the cheapest codec (sim/encoding.hpp) into a pooled
 /// byte buffer, the collective moves bytes, and receivers decode back into
@@ -37,12 +37,14 @@
 namespace sunbfs::sim {
 
 /// In-flight merge hook for staged exchange plans (sim/exchange.hpp): when
-/// enabled for a message type, A2aStaging::exchange() with set_merge(true)
-/// sorts each destination block (WireFormat<T>::less) and folds adjacent
-/// same()-group messages into one before anything ships.  The primary
-/// template disables merging; Routed<T> bridges to the payload's
-/// ExchangeMergePolicy.  same() groups must be contiguous under the wire
-/// order — i.e. same(a, b) implies equal sort keys.
+/// enabled for a message type, A2aStaging::exchange() sorts each
+/// destination block (WireFormat<T>::less) and folds adjacent same()-group
+/// messages into one before anything ships.  The primary template disables
+/// merging; only Routed<T>, the staged-hop envelope, bridges to the
+/// payload's ExchangeMergePolicy — so direct pools ship byte-identical
+/// traffic whether or not the payload is mergeable.  same() groups must be
+/// contiguous under the wire order — i.e. same(a, b) implies equal sort
+/// keys.
 template <typename T>
 struct ExchangeFold {
   static constexpr bool enabled = false;
@@ -103,7 +105,8 @@ class A2aStaging {
       ++allocs_;
       src_offsets_.reserve(nparts + 1);
     }
-    if (enc_.enabled) {
+    if constexpr (ExchangeFold<T>::enabled) reserve_n(fold_counts_, nparts);
+    if (encoded_) {
       // Codec selection takes min(raw, ...) per block, so the encoded
       // payload is bounded by the raw payload plus one header per block —
       // reserving that here is what keeps the encoded path allocation-free
@@ -117,15 +120,10 @@ class A2aStaging {
     }
   }
 
-  /// Set the wire-encoding policy for subsequent exchanges.  Call before
-  /// prime() so the encoded buffers are included in the warmup reservation.
-  void set_encoding(const EncodingOptions& enc) { enc_ = enc; }
-  const EncodingOptions& encoding() const { return enc_; }
-
-  /// Enable the in-flight merge pass (no-op unless ExchangeFold<T> opts in).
-  /// Only ever set on staged-exchange hop pools: the direct path must ship
-  /// byte-identical traffic whether or not the type is mergeable.
-  void set_merge(bool merge) { merge_ = merge; }
+  /// Wire-encode subsequent exchanges (the default), or ship raw structs.
+  /// Call before prime() so the encoded buffers are included in the warmup
+  /// reservation.
+  void set_encoded(bool encoded) { encoded_ = encoded; }
 
   /// Reserve one specific lane's capacity (counted like any growth).  The
   /// staged-exchange channel uses this to prime exactly the hop lanes a plan
@@ -160,8 +158,7 @@ class A2aStaging {
     // With a single writer, lane d already is destination d's block: a raw,
     // unmerged round publishes the lanes in place instead of copying them
     // into the flat send buffer.  Same bytes, same order.
-    if (nthreads_ == 1 && !enc_.enabled &&
-        !(ExchangeFold<T>::enabled && merge_)) {
+    if (nthreads_ == 1 && !encoded_ && !ExchangeFold<T>::enabled) {
       comm.alltoallv_blocks<T>(std::span(lanes_.data(), nparts_), recv_,
                                &src_offsets_, &allocs_);
       return recv_;
@@ -186,9 +183,9 @@ class A2aStaging {
       }
     });
     if constexpr (ExchangeFold<T>::enabled) {
-      if (merge_ && total > 0) fold_blocks(pool);
+      if (total > 0) fold_blocks(pool);
     }
-    if (!enc_.enabled) {
+    if (!encoded_) {
       comm.alltoallv_flat<T>(send_, offsets_, recv_, &src_offsets_, &allocs_);
       return recv_;
     }
@@ -261,7 +258,7 @@ class A2aStaging {
       for (size_t d = lo; d < hi; ++d) {
         std::span<T> block(send_.data() + offsets_[d],
                            offsets_[d + 1] - offsets_[d]);
-        const bool sorted = block.size() >= enc_.min_messages;
+        const bool sorted = block.size() >= kEncodeMinMessages;
         if (sorted) std::sort(block.begin(), block.end(), WF::less);
         plans_[d] = plan_block<T>(block, sorted);
       }
@@ -342,8 +339,7 @@ class A2aStaging {
   std::vector<T> send_;                // flat staged payload
   std::vector<T> recv_;                // reused receive buffer
   std::vector<size_t> src_offsets_;
-  EncodingOptions enc_{};
-  bool merge_ = false;                 // staged-hop in-flight merging
+  bool encoded_ = true;                // adaptive wire encoding
   std::vector<uint64_t> fold_counts_;  // post-merge block sizes
   std::vector<BlockPlan> plans_;         // per-destination codec decisions
   std::vector<BlockHeader> headers_;     // per-source parsed headers
@@ -356,22 +352,21 @@ class A2aStaging {
 
 /// Reused allgatherv receive buffer (frontier gathers in the pull kernels).
 /// For uint64_t payloads — the frontier bitmap words every pull kernel
-/// gathers — an enabled EncodingOptions routes through the word codecs of
+/// gathers — wire encoding (on by default) routes through the word codecs of
 /// sim/encoding.hpp: dense frontiers ship their words raw, sparse frontiers
 /// ship delta-coded set-bit positions.  The decoded word layout is identical
 /// to the raw gather, so GatheredFrontier indexing is unchanged.
 template <typename T>
 class GatherBuffer {
  public:
-  /// Set the wire-encoding policy (only effective for uint64_t word
+  /// Wire-encode subsequent gathers (only effective for uint64_t word
   /// streams; other element types always gather raw).
-  void set_encoding(const EncodingOptions& enc) { enc_ = enc; }
-  const EncodingOptions& encoding() const { return enc_; }
+  void set_encoded(bool encoded) { encoded_ = encoded; }
 
   /// Gather every rank's span; result valid until the next call.
   std::span<const T> gather(Comm& comm, std::span<const T> mine) {
     if constexpr (std::is_same_v<T, uint64_t>) {
-      if (enc_.enabled) return gather_encoded(comm, mine);
+      if (encoded_) return gather_encoded(comm, mine);
     }
     comm.allgatherv_into(mine, data_, &offsets_, &allocs_);
     return data_;
@@ -439,7 +434,7 @@ class GatherBuffer {
 
   std::vector<T> data_;
   std::vector<size_t> offsets_;
-  EncodingOptions enc_{};
+  bool encoded_ = true;
   std::vector<uint8_t> enc_send_;
   std::vector<uint8_t> enc_recv_;
   std::vector<size_t> enc_offsets_;

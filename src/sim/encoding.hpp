@@ -54,15 +54,9 @@
 /// to message order (fetch-max parents, atomic bit claims — docs/PERF.md).
 namespace sunbfs::sim {
 
-/// Per-pool encoding policy, threaded from engine options into the staging
-/// pools.  Enabled by default: the encoded path is the product path, and the
-/// fault suite exercises checksums over encoded bytes.
-struct EncodingOptions {
-  bool enabled = true;
-  /// Blocks with fewer messages than this skip the sort + measure pass and
-  /// ship raw: at a handful of messages the header dominates any saving.
-  uint32_t min_messages = 8;
-};
+/// Blocks with fewer messages than this skip the sort + measure pass and
+/// ship raw: at a handful of messages the header dominates any saving.
+inline constexpr size_t kEncodeMinMessages = 8;
 
 /// Worst-case block header: codec byte + varint(count or nwords).
 inline constexpr size_t kBlockHeaderMax = 11;
@@ -131,7 +125,7 @@ struct BlockHeader {
 
 /// Measure `msgs` under all eligible codecs and return the smallest.
 /// `sorted` tells the planner whether the caller ran the key-major sort —
-/// unsorted blocks (below EncodingOptions::min_messages) always ship raw.
+/// unsorted blocks (below kEncodeMinMessages) always ship raw.
 template <typename T>
 BlockPlan plan_block(std::span<const T> msgs, bool sorted) {
   using WF = WireFormat<T>;

@@ -54,11 +54,17 @@ inline bool parse_exchange_backend(const std::string& s, ExchangeBackend* out) {
   return true;
 }
 
-/// Per-engine exchange policy, threaded from runner flags into engine
-/// options (Bfs1dOptions, Bfs15dOptions, BfsAsyncOptions, MsbfsOptions,
-/// PropagateOptions, SsspOptions, RepairOptions).
+/// How an engine's exchanges run — the one exchange setting of every engine
+/// option struct (Bfs1dOptions, Bfs15dOptions, BfsAsyncOptions,
+/// MsbfsOptions, PropagateOptions, SsspOptions, RepairOptions), threaded
+/// from runner flags into ExchangeChannel::configure.
 struct ExchangeOptions {
+  /// Exchange plan of the world rounds.
   ExchangeBackend backend = ExchangeBackend::Direct;
+  /// Adaptive wire encoding (sim/encoding.hpp) of the staged exchanges and
+  /// frontier gathers.  On by default: the encoded path is the product path,
+  /// and the fault suite exercises checksums over encoded bytes.
+  bool encoding = true;
 };
 
 /// Staged routing plan for one (backend, nparts, mesh) combination.

@@ -7,65 +7,67 @@
 #include "sim/comm.hpp"
 #include "sim/comm_buffer.hpp"
 #include "sim/exchange.hpp"
+#include "sim/runtime.hpp"
 #include "support/check.hpp"
 #include "support/thread_pool.hpp"
 
 /// Execution of an ExchangePlan over the reusable staging pools.
 ///
 /// ExchangeChannel<T> keeps the A2aStaging begin/push/exchange/src_offsets
-/// surface the engines already speak, and adds one staged-round overload of
-/// begin(): hand it a plan with stages() > 0 and every push is wrapped in a
-/// Routed<T> envelope, sent through the plan's hops (each hop an ordinary —
-/// encoded, checksummed, fault-injectable — alltoallv over the same
-/// communicator), merged in flight where the payload's ExchangeMergePolicy
-/// allows, and finally unwrapped into a receive buffer whose per-source
-/// delimiters match what a direct alltoallv would have produced.  Receivers
-/// that reconstruct global ids from the source rank (CompactMsg, MsbfsMsg)
-/// therefore work unchanged; they only ever see messages in a different
-/// order, which every receive path tolerates by contract (docs/PERF.md).
+/// surface the engines already speak.  One configure() call takes the rank
+/// context and the engine's ExchangeOptions: it builds and keeps the plan
+/// for world rounds and sets the wire encoding of both legs.  A world round
+/// (begin_world) under a plan with stages() > 0 wraps every push in a
+/// Routed<T> envelope, sends it through the plan's hops (each hop an
+/// ordinary — encoded, checksummed, fault-injectable — alltoallv over the
+/// same communicator), merges in flight where the payload's
+/// ExchangeMergePolicy allows, and finally unwraps into a receive buffer
+/// whose per-source delimiters match what a direct alltoallv would have
+/// produced.  Receivers that reconstruct global ids from the source rank
+/// (CompactMsg, MsbfsMsg) therefore work unchanged; they only ever see
+/// messages in a different order, which every receive path tolerates by
+/// contract (docs/PERF.md).
 ///
 /// Two pools by value: `direct_` carries plain T rounds, `hop_` carries the
 /// routed envelopes.  Keeping them separate (rather than nesting
 /// A2aStaging<Routed<T>> rounds inside one pool) preserves the grow-only
-/// capacity story — prime() + prime_staged() reserve both shapes up front
-/// and steady-state `comm.staging_allocs` stays zero for every backend.
+/// capacity story — prime() reserves both shapes up front and steady-state
+/// `comm.staging_allocs` stays zero under every plan.
 namespace sunbfs::sim {
 
 template <typename T>
 class ExchangeChannel {
  public:
-  /// Wire-encoding policy for both legs.  As with A2aStaging, set before
-  /// priming so encoded buffers land in the warmup reservation.
-  void set_encoding(const EncodingOptions& enc) {
-    direct_.set_encoding(enc);
-    hop_.set_encoding(enc);
+  /// Set up world rounds on `ctx`: build the plan `options.backend` selects
+  /// for ctx.world and set `options.encoding` on both legs.  Call before
+  /// prime() so encoded buffers land in the warmup reservation.
+  void configure(const RankContext& ctx, const ExchangeOptions& options) {
+    plan_ = ExchangePlan::build(options.backend, ctx.nranks(), ctx.mesh);
+    self_ = ctx.rank;
+    direct_.set_encoded(options.encoding);
+    hop_.set_encoded(options.encoding);
   }
-  const EncodingOptions& encoding() const { return direct_.encoding(); }
+  const ExchangePlan& plan() const { return plan_; }
 
-  /// Open a direct round: plain alltoallv, byte-identical to A2aStaging.
+  /// Open a direct round over `nparts` peers: plain alltoallv,
+  /// byte-identical to A2aStaging (the 1.5D row/column sub-exchanges).
   void begin(size_t nparts, size_t nthreads) {
     staged_ = false;
     nparts_ = nparts;
     direct_.begin(nparts, nthreads);
   }
 
-  /// Open a staged round routed by `plan`; `self` is this rank's id in the
-  /// communicator the exchange will run over.  A degenerate plan
-  /// (stages() == 0) falls back to the direct round — same bytes, same
-  /// collective count on every rank.
-  void begin(size_t nparts, size_t nthreads, const ExchangePlan& plan,
-             int self) {
-    if (plan.stages() == 0) {
-      begin(nparts, nthreads);
+  /// Open a world round routed by the configured plan.  A degenerate plan
+  /// (stages() == 0) runs the direct round — same bytes, same collective
+  /// count on every rank.
+  void begin_world(size_t nthreads) {
+    if (plan_.stages() == 0) {
+      begin(size_t(plan_.nparts()), nthreads);
       return;
     }
-    SUNBFS_ASSERT(size_t(plan.nparts()) == nparts);
     staged_ = true;
-    plan_ = &plan;
-    self_ = self;
-    nparts_ = nparts;
-    hop_.set_merge(true);
-    hop_.begin(nparts, nthreads);
+    nparts_ = size_t(plan_.nparts());
+    hop_.begin(nparts_, nthreads);
   }
 
   /// Append one message for final destination `dst` from writer lane
@@ -75,7 +77,7 @@ class ExchangeChannel {
       direct_.push(thread, dst, msg);
       return;
     }
-    const size_t first = size_t(plan_->hop(0, self_, int(dst)));
+    const size_t first = size_t(plan_.hop(0, self_, int(dst)));
     hop_.push(thread, first,
               Routed<T>{Routed<T>::make_route(uint32_t(dst), uint32_t(self_)),
                         msg});
@@ -87,10 +89,10 @@ class ExchangeChannel {
   std::span<const T> exchange(Comm& comm, ThreadPool& pool) {
     if (!staged_) return direct_.exchange(comm, pool);
     std::span<const Routed<T>> held = hop_.exchange(comm, pool);
-    for (int s = 1; s < plan_->stages(); ++s) {
+    for (int s = 1; s < plan_.stages(); ++s) {
       hop_.begin(nparts_, 1);
       for (const Routed<T>& m : held)
-        hop_.push(0, size_t(plan_->hop(s, self_, int(m.dst_part()))), m);
+        hop_.push(0, size_t(plan_.hop(s, self_, int(m.dst_part()))), m);
       held = hop_.exchange(comm, pool);
     }
     // Every surviving envelope terminates here; unwrap with a stable
@@ -118,33 +120,31 @@ class ExchangeChannel {
     return staged_ ? src_offsets_ : direct_.src_offsets();
   }
 
-  /// Pre-size the direct leg (identical contract to A2aStaging::prime).
-  void prime(size_t nparts, size_t nthreads, size_t lane_cap, size_t send_cap,
+  /// Pre-size both legs for world rounds of the configured plan staged by
+  /// `nthreads` writers (A2aStaging::prime's contract; smaller sub-exchange
+  /// rounds fit inside it).  `lane_cap` bounds one writer lane — on the
+  /// staged leg a writer's whole volume, since a single first hop can absorb
+  /// everything a thread pushes — and `send_cap` the rank's per-round (per
+  /// stage) traffic.  Only the hop lanes the plan can actually reach from
+  /// this rank get the big reservations; everything else stays at zero,
+  /// which is what keeps staged priming affordable while steady-state
+  /// allocs still reach zero after the warmup root.
+  void prime(size_t nthreads, size_t lane_cap, size_t send_cap,
              size_t recv_cap) {
+    const size_t nparts = size_t(plan_.nparts());
+    SUNBFS_CHECK(nparts > 0);  // configure() first
     direct_.prime(nparts, nthreads, lane_cap, send_cap, recv_cap);
-  }
-
-  /// Pre-size the staged leg for `plan` rounds staged by `nthreads` writers.
-  /// `lane_cap` bounds one writer's whole staged volume (a single first hop
-  /// can absorb everything a thread pushes), `volume_cap` bounds the rank's
-  /// per-stage traffic.  Only the hop lanes the plan can actually reach from
-  /// `self` get the big reservations; everything else stays at zero, which
-  /// is what keeps staged priming affordable while steady-state allocs still
-  /// reach zero after the warmup root.
-  void prime_staged(const ExchangePlan& plan, int self, size_t nthreads,
-                    size_t lane_cap, size_t volume_cap) {
-    if (plan.stages() == 0) return;
-    const size_t nparts = size_t(plan.nparts());
+    if (plan_.stages() == 0) return;
     // The convergent row split can briefly double a rank's held volume
     // relative to the uniform per-rank bound.
-    const size_t stage_cap = 2 * volume_cap + 64;
+    const size_t stage_cap = 2 * send_cap + 64;
     hop_.prime(nparts, nthreads, /*lane_cap=*/0, stage_cap, stage_cap);
     for (int d = 0; d < int(nparts); ++d) {
-      const size_t h0 = size_t(plan.hop(0, self, d));
+      const size_t h0 = size_t(plan_.hop(0, self_, d));
       for (size_t t = 0; t < nthreads; ++t)
         hop_.prime_lane(nparts, t, h0, lane_cap);
-      for (int s = 1; s < plan.stages(); ++s)
-        hop_.prime_lane(nparts, 0, size_t(plan.hop(s, self, d)), stage_cap);
+      for (int s = 1; s < plan_.stages(); ++s)
+        hop_.prime_lane(nparts, 0, size_t(plan_.hop(s, self_, d)), stage_cap);
     }
     if (src_offsets_.capacity() < nparts + 1) {
       ++allocs_;
@@ -154,9 +154,9 @@ class ExchangeChannel {
       ++allocs_;
       fill_.reserve(nparts);
     }
-    if (final_.capacity() < volume_cap) {
+    if (final_.capacity() < send_cap) {
       ++allocs_;
-      final_.reserve(volume_cap);
+      final_.reserve(send_cap);
     }
   }
 
@@ -168,7 +168,7 @@ class ExchangeChannel {
  private:
   A2aStaging<T> direct_;
   A2aStaging<Routed<T>> hop_;
-  const ExchangePlan* plan_ = nullptr;
+  ExchangePlan plan_;
   int self_ = 0;
   size_t nparts_ = 0;
   bool staged_ = false;

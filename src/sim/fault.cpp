@@ -234,11 +234,11 @@ void FaultStats::to_report(obs::Report& report,
                    straggler_delay_s);
 }
 
-double backoff_delay_s(const RecoveryOptions& opts, int retry) {
+double backoff_delay_s(int retry) {
   SUNBFS_CHECK(retry >= 1);
-  double d = opts.backoff_base_s;
-  for (int i = 1; i < retry && d < opts.backoff_cap_s; ++i) d *= 2;
-  return std::min(d, opts.backoff_cap_s);
+  double d = kBackoffBaseS;
+  for (int i = 1; i < retry && d < kBackoffCapS; ++i) d *= 2;
+  return std::min(d, kBackoffCapS);
 }
 
 }  // namespace sunbfs::sim

@@ -218,19 +218,21 @@ struct FaultState {
   }
 };
 
-/// Knobs of the engines' checkpoint/retry policy (sim::Recovery,
-/// sim/recover.hpp).
+/// The engines' checkpoint/retry policy (sim::Recovery, sim/recover.hpp).
 struct RecoveryOptions {
-  /// Save a level checkpoint every this many BFS iterations (>= 1).
-  int checkpoint_interval = 2;
   /// Rollbacks allowed before the run gives up with FaultDetected.
   int max_retries = 8;
-  /// Capped exponential backoff slept before each replay.
-  double backoff_base_s = 0.5e-3;
-  double backoff_cap_s = 8e-3;
 };
 
-/// Backoff before retry number `retry` (1-based): base * 2^(retry-1), capped.
-double backoff_delay_s(const RecoveryOptions& opts, int retry);
+/// Save a level checkpoint every this many epochs (BFS levels, or exchange
+/// rounds in the async engine).
+inline constexpr int kCheckpointInterval = 2;
+/// Capped exponential backoff slept before each replay.
+inline constexpr double kBackoffBaseS = 0.5e-3;
+inline constexpr double kBackoffCapS = 8e-3;
+
+/// Backoff before retry number `retry` (1-based): kBackoffBaseS *
+/// 2^(retry-1), capped at kBackoffCapS.
+double backoff_delay_s(int retry);
 
 }  // namespace sunbfs::sim

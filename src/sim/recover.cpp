@@ -19,7 +19,6 @@ Recovery::Recovery(RankContext& ctx, const RecoveryOptions& options,
       hooks_(std::move(hooks)),
       resilient_(ctx.faults.recovering()) {
   if (!resilient_) return;
-  SUNBFS_CHECK(options_.checkpoint_interval >= 1);
   fired_.assign(ctx_.faults.plan->rank_failures().size(), false);
 }
 
@@ -77,7 +76,7 @@ void Recovery::retry(const char* what) {
   auto& fs = ctx_.faults.stats;
   ++fs.retries;
   in_recovery_ = true;
-  const double delay = backoff_delay_s(options_, retries_);
+  const double delay = backoff_delay_s(retries_);
   fs.backoff_s += delay;
   obs::Span span("fault", "backoff", retries_);
   std::this_thread::sleep_for(std::chrono::duration<double>(delay));

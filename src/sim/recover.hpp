@@ -93,10 +93,10 @@ class Recovery {
     return false;
   }
 
-  /// Save the checkpoint of `epoch` if the cadence
-  /// (RecoveryOptions::checkpoint_interval) asks for one; epoch 0 always.
+  /// Save the checkpoint of `epoch` if the cadence (kCheckpointInterval)
+  /// asks for one; epoch 0 always.
   void checkpoint(int epoch) {
-    if (resilient_ && epoch % options_.checkpoint_interval == 0) save(epoch);
+    if (resilient_ && epoch % kCheckpointInterval == 0) save(epoch);
   }
 
   /// Spend one retry on `what` without a rollback (an idempotent step that

@@ -251,7 +251,8 @@ TEST(Propagate, NonIdempotentGatherCountsEveryArcOnce) {
     sim::run_spmd(sim::MeshShape{2, 3}, [&](sim::RankContext& ctx) {
       auto b = build(ctx, cfg, {64, 16});
       PropagationEngine<NeighborSumProgram> engine(
-          ctx, b.part, {}, {.exchange = {.backend = backend}});
+          ctx, b.part, {},
+          {.exchange = {.backend = backend, .encoding = false}});
       engine.initialize([](Vertex v) { return uint64_t(v) + 1; });
       engine.step();
       auto gathered = ctx.world.allgatherv(

@@ -170,7 +170,7 @@ AsyncOut run_async(uint64_t nv, sim::MeshShape mesh, Vertex root, int threads,
         auto part = partition::build_1d(ctx, space, slice);
         bfs::BfsAsyncOptions opts;
         opts.threads_per_rank = threads;
-        opts.encoding.enabled = encoding;
+        opts.exchange.encoding = encoding;
         opts.exchange.backend = backend;
         ctx.faults.armed = true;
         auto res = bfs::bfsasync_run(ctx, part, root, opts);

@@ -69,7 +69,7 @@ std::vector<Vertex> run_15d(const Graph500Config& cfg, sim::MeshShape mesh,
         partition::build_15d(ctx, space, slice, deg, {128, 32});
     bfs::Bfs15dOptions opts;
     opts.threads_per_rank = threads;
-    opts.encoding.enabled = encoding;
+    opts.exchange.encoding = encoding;
     auto res = bfs::bfs15d_run(ctx, part, root, opts);
     auto gathered = ctx.world.allgatherv(std::span<const Vertex>(res.parent));
     if (ctx.rank == 0) global_parent = std::move(gathered);
@@ -86,7 +86,7 @@ std::vector<Vertex> run_1d(const Graph500Config& cfg, sim::MeshShape mesh,
     auto part = partition::build_1d(ctx, space, slice);
     bfs::Bfs1dOptions opts;
     opts.threads_per_rank = threads;
-    opts.encoding.enabled = encoding;
+    opts.exchange.encoding = encoding;
     auto res = bfs::bfs1d_run(ctx, part, root, opts);
     auto gathered = ctx.world.allgatherv(std::span<const Vertex>(res.parent));
     if (ctx.rank == 0) global_parent = std::move(gathered);
@@ -208,7 +208,7 @@ TEST_P(MsbfsOracle, BatchParentsEqualCanonicalReference) {
     if (c.dup_roots && keys.size() >= 2) keys[1] = keys[0];
     service::MsbfsOptions opts;
     opts.threads_per_rank = c.threads;
-    opts.encoding.enabled = c.encoding;
+    opts.exchange.encoding = c.encoding;
     auto batch = service::msbfs_run(ctx, part, keys, opts);
     const uint64_t local = space.count(ctx.rank);
     std::vector<std::vector<Vertex>> gathered(keys.size());
@@ -317,7 +317,7 @@ TEST_P(MsbfsFaultOracle, RecoveredParentsEqualCanonicalReference) {
     auto keys = bfs::pick_search_keys(ctx, space, degrees, width, cfg.seed);
     service::MsbfsOptions mopts;
     mopts.threads_per_rank = c.threads;
-    mopts.encoding.enabled = c.encoding;
+    mopts.exchange.encoding = c.encoding;
     ctx.faults.armed = true;
     auto batch = service::msbfs_run(ctx, part, keys, mopts);
     ctx.faults.armed = false;
@@ -435,9 +435,9 @@ TEST(RandomizedSweep, SampledPipelinesValidateOrPrintRepro) {
     cfg.bfs1d.threads_per_rank = threads;
     cfg.bfsasync.threads_per_rank = threads;
     const bool encoding = rng.next() % 2 == 0;
-    cfg.bfs.encoding.enabled = encoding;
-    cfg.bfs1d.encoding.enabled = encoding;
-    cfg.bfsasync.encoding.enabled = encoding;
+    cfg.bfs.exchange.encoding = encoding;
+    cfg.bfs1d.exchange.encoding = encoding;
+    cfg.bfsasync.exchange.encoding = encoding;
     const sim::MeshShape mesh = kMeshes[rng.next() % 4];
     const bool faulty = rng.next() % 2 == 0;
     const uint64_t fault_seed = 1 + rng.next() % 64;

@@ -399,8 +399,8 @@ TEST(StagingEncoding, EncodedExchangeMatchesRawAndStopsAllocating) {
   run_spmd(mesh, [&](RankContext& ctx) {
     ThreadPool pool(2);
     A2aStaging<bfs::CompactMsg> enc, raw;
-    enc.set_encoding(EncodingOptions{true, 8});
-    raw.set_encoding(EncodingOptions{false});
+    enc.set_encoded(true);
+    raw.set_encoded(false);
     const size_t nparts = size_t(ctx.nranks());
     uint64_t bad = 0, allocs_after_warmup = 0;
     for (int round = 0; round < 4; ++round) {
@@ -501,7 +501,7 @@ TEST(EncodingFaults, CorruptedEncodedPayloadsAreDetectedAndRecovered) {
   cfg.graph.seed = 5;
   cfg.num_roots = 2;
   cfg.validate = true;
-  ASSERT_TRUE(cfg.bfs.encoding.enabled);  // encoded path is the default
+  ASSERT_TRUE(cfg.bfs.exchange.encoding);  // encoded path is the default
   sim::MeshShape mesh{2, 2};
   Topology topo(mesh);
   FaultPlan plan = FaultPlan::random(9, mesh.ranks(), /*stragglers=*/1,

@@ -1,6 +1,6 @@
 // Exchange-plan tests (ctest -L differential / -L faults): the staged
 // exchange backends must be pure routing — bit-identical engine output —
-// and the recovery machinery must see through every staged hop.  Four
+// and the recovery machinery must see through every staged hop.  Five
 // layers:
 //
 //   1. ExchangePlan unit tests: hop() composed over every stage delivers
@@ -20,6 +20,8 @@
 //   4. A seeded randomized full-pipeline sweep over exchange backends;
 //      any failure prints one graph500_runner command line (including
 //      --exchange) that replays it.
+//   5. The priming contract end to end: every engine under every plan
+//      grows no staging buffer after the warmup root.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -147,7 +149,7 @@ std::vector<Vertex> run_1d(const Graph500Config& cfg, sim::MeshShape mesh,
     auto part = partition::build_1d(ctx, space, slice);
     bfs::Bfs1dOptions opts;
     opts.threads_per_rank = threads;
-    opts.encoding.enabled = encoding;
+    opts.exchange.encoding = encoding;
     opts.exchange.backend = backend;
     auto res = bfs::bfs1d_run(ctx, part, root, opts);
     auto gathered = ctx.world.allgatherv(std::span<const Vertex>(res.parent));
@@ -168,7 +170,7 @@ std::vector<Vertex> run_15d(const Graph500Config& cfg, sim::MeshShape mesh,
     auto part = partition::build_15d(ctx, space, slice, deg, th);
     bfs::Bfs15dOptions opts;
     opts.threads_per_rank = threads;
-    opts.encoding.enabled = encoding;
+    opts.exchange.encoding = encoding;
     opts.exchange.backend = backend;
     auto res = bfs::bfs15d_run(ctx, part, root, opts);
     auto gathered = ctx.world.allgatherv(std::span<const Vertex>(res.parent));
@@ -260,7 +262,7 @@ TEST(BackendBitIdentityMsbfs, BatchParentsEqualDirectBaseline) {
       auto keys = bfs::pick_search_keys(ctx, space, degrees, width, cfg.seed);
       service::MsbfsOptions opts;
       opts.threads_per_rank = threads;
-      opts.encoding.enabled = encoding;
+      opts.exchange.encoding = encoding;
       opts.exchange.backend = backend;
       auto batch = service::msbfs_run(ctx, part, keys, opts);
       const uint64_t local = space.count(ctx.rank);
@@ -323,16 +325,14 @@ TEST(BackendBitIdentityPropagation, DistancesAndLabelsEqualDirectRaw) {
       auto degrees = partition::compute_local_degrees(ctx, space, slice);
       auto part = partition::build_15d(ctx, space, slice, degrees, {64, 16});
       analytics::SsspOptions opts;
-      opts.encoding.enabled = encoding;
+      opts.exchange.encoding = encoding;
       opts.exchange.backend = backend;
       std::vector<uint64_t> mine;
       for (analytics::Dist d : analytics::sssp15d(ctx, part, root, opts))
         mine.push_back(d);
       analytics::PropagationEngine<MinLabelProgram> cc(
           ctx, part, {},
-          {.incremental = true,
-           .encoding = opts.encoding,
-           .exchange = opts.exchange});
+          {.incremental = true, .exchange = opts.exchange});
       cc.initialize([](Vertex v) { return v; });
       EXPECT_TRUE(cc.run().converged);
       for (Vertex label : cc.owned_values()) mine.push_back(uint64_t(label));
@@ -421,7 +421,7 @@ TEST_P(StagedFaultRecovery, RecoveredParentsEqualFaultFree) {
     auto part = partition::build_1d(ctx, space, slice);
     bfs::Bfs1dOptions opts;
     opts.threads_per_rank = c.threads;
-    opts.encoding.enabled = c.encoding;
+    opts.exchange.encoding = c.encoding;
     opts.exchange.backend = backend;
     ctx.faults.armed = true;
     auto res = bfs::bfs1d_run(ctx, part, root, opts);
@@ -484,8 +484,8 @@ TEST(RandomizedExchangeSweep, SampledPipelinesValidateOrPrintRepro) {
     cfg.bfs.threads_per_rank = threads;
     cfg.bfs1d.threads_per_rank = threads;
     const bool encoding = rng.next() % 2 == 0;
-    cfg.bfs.encoding.enabled = encoding;
-    cfg.bfs1d.encoding.enabled = encoding;
+    cfg.bfs.exchange.encoding = encoding;
+    cfg.bfs1d.exchange.encoding = encoding;
     const sim::ExchangeBackend backend = sim::ExchangeBackend::TwoDCA;
     cfg.bfs.exchange.backend = backend;
     cfg.bfs1d.exchange.backend = backend;
@@ -529,6 +529,48 @@ TEST(RandomizedExchangeSweep, SampledPipelinesValidateOrPrintRepro) {
         << "sweep draw " << it << " SPMD errors\n  repro: " << repro;
     EXPECT_TRUE(result.all_valid)
         << "sweep draw " << it << " failed validation\n  repro: " << repro;
+  }
+}
+
+// ------------------------------- steady-state staging allocations
+//
+// The priming contract (docs/PERF.md): after the warmup root no engine
+// grows a staging buffer under any plan, and a staged plan moves no
+// parent.  Same configuration as `graph500_runner --rows 4 --cols 4
+// --roots 4 --engine E --exchange X` at SCALE 12 and 14.
+
+TEST(Runner, SteadyStagingAllocsZeroOnEveryPlan) {
+  const sim::Topology topo(sim::MeshShape{4, 4});
+  for (int scale : {12, 14}) {
+    for (bfs::EngineKind engine :
+         {bfs::EngineKind::OneD, bfs::EngineKind::OneFiveD,
+          bfs::EngineKind::Async}) {
+      std::vector<uint64_t> direct_parents;
+      for (sim::ExchangeBackend backend :
+           {sim::ExchangeBackend::Direct, sim::ExchangeBackend::TwoDCA}) {
+        SCOPED_TRACE("scale " + std::to_string(scale) + " engine " +
+                     bfs::engine_kind_name(engine) + " exchange " +
+                     sim::exchange_backend_name(backend));
+        bfs::RunnerConfig cfg;
+        cfg.graph.scale = scale;
+        cfg.thresholds = {2048, 128};
+        cfg.engine = engine;
+        cfg.num_roots = 4;
+        cfg.bfs.exchange.backend = backend;
+        cfg.bfs1d.exchange.backend = backend;
+        cfg.bfsasync.exchange.backend = backend;
+        const bfs::RunnerResult result = bfs::run_graph500(topo, cfg);
+        EXPECT_TRUE(result.all_valid);
+        EXPECT_EQ(result.staging_allocs_steady, 0u);
+        std::vector<uint64_t> parents;
+        for (const bfs::RootRun& run : result.runs)
+          parents.push_back(run.parent_checksum);
+        if (backend == sim::ExchangeBackend::Direct)
+          direct_parents = parents;
+        else
+          EXPECT_EQ(parents, direct_parents);
+      }
+    }
   }
 }
 

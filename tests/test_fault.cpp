@@ -72,13 +72,14 @@ TEST(FaultPlanTest, RandomIsDeterministic) {
 }
 
 TEST(Backoff, ExponentialAndCapped) {
-  RecoveryOptions r;
-  r.backoff_base_s = 1e-3;
-  r.backoff_cap_s = 4e-3;
-  EXPECT_DOUBLE_EQ(backoff_delay_s(r, 1), 1e-3);
-  EXPECT_DOUBLE_EQ(backoff_delay_s(r, 2), 2e-3);
-  EXPECT_DOUBLE_EQ(backoff_delay_s(r, 3), 4e-3);
-  EXPECT_DOUBLE_EQ(backoff_delay_s(r, 7), 4e-3);  // capped
+  // The fixed schedule: 0.5 ms doubling per retry, capped at 8 ms.
+  EXPECT_DOUBLE_EQ(backoff_delay_s(1), 0.5e-3);
+  EXPECT_DOUBLE_EQ(backoff_delay_s(2), 1e-3);
+  EXPECT_DOUBLE_EQ(backoff_delay_s(3), 2e-3);
+  EXPECT_DOUBLE_EQ(backoff_delay_s(4), 4e-3);
+  EXPECT_DOUBLE_EQ(backoff_delay_s(5), 8e-3);
+  EXPECT_DOUBLE_EQ(backoff_delay_s(6), 8e-3);  // capped
+  EXPECT_DOUBLE_EQ(backoff_delay_s(20), 8e-3);
 }
 
 // ---- per-collective corruption detection -----------------------------------

@@ -375,7 +375,7 @@ TEST_P(RepairOracle, RepairBitMatchesFullRecompute) {
 
     service::MsbfsOptions mopts;
     mopts.threads_per_rank = c.threads;
-    mopts.encoding.enabled = c.encoding;
+    mopts.exchange.encoding = c.encoding;
     mopts.exchange.backend = c.backend;
     mopts.record_depths = true;
     const Vertex roots[1] = {root};
@@ -395,10 +395,10 @@ TEST_P(RepairOracle, RepairBitMatchesFullRecompute) {
     mutate::RepairOptions ropts;
     ropts.pool = &pool;
     ropts.channels = &rchan;
-    ropts.encoding.enabled = c.encoding;
+    ropts.exchange.encoding = c.encoding;
     ropts.exchange.backend = c.backend;
     rchan.prime(ctx, size_t(c.threads), part.adj.num_arcs() + headroom,
-                ropts.encoding, ropts.exchange);
+                ropts.exchange);
 
     uint64_t allocs_after_first = 0;
     mutate::RepairStats stats;
