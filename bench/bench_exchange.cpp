@@ -1,8 +1,8 @@
 // Exchange-backend ablation: the same Graph 500 search pipeline run under
-// each ExchangePlan backend (direct alltoallv, 2D-CA row/column split),
+// each exchange backend (direct alltoallv, 2D-CA row/column split),
 // compared on the search-phase alltoallv bytes — total and the
 // inter-supernode subset that crosses the 8x-oversubscribed top-level
-// links — plus the Topology cost-model score of each plan.
+// links — and on the modeled network seconds those alltoallvs cost.
 //
 // The push phase is pinned top-down (pull_ratio > 1) because the staged
 // plan's merge win lives in the push alltoallv: duplicate visit messages
@@ -13,8 +13,9 @@
 //
 // CI gates the emitted BENCH_exchange.json against the committed
 // reports/BENCH_exchange.baseline.json via tools/bench_compare.py: the
-// backends must stay bit-identical on parents (counted valid roots) and
-// 2D-CA's inter-supernode reduction at the largest mesh must not regress.
+// backends must stay bit-identical on parents (counted valid roots), and
+// neither 2D-CA's inter-supernode reduction at the largest mesh nor any
+// plan's modeled alltoallv time may regress.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -30,9 +31,9 @@ namespace {
 struct ExchangeRow {
   int ranks = 0;
   std::string backend;
-  int stages = 0;
   uint64_t a2a_bytes = 0;
   uint64_t inter_bytes = 0;
+  double a2a_modeled_s = 0;
   double inter_reduction_pct = 0;
   uint64_t valid_roots = 0;
   uint64_t staging_allocs_steady = 0;
@@ -59,6 +60,8 @@ bool write_bench_json(const char* path, int base_scale,
                  (unsigned long long)r.a2a_bytes);
     std::fprintf(f, "    \"alltoallv_inter_bytes_%s\": %llu,\n", tag.c_str(),
                  (unsigned long long)r.inter_bytes);
+    std::fprintf(f, "    \"alltoallv_modeled_us_%s\": %.6f,\n", tag.c_str(),
+                 r.a2a_modeled_s * 1e6);
     std::fprintf(f, "    \"inter_reduction_pct_%s\": %.6f%s\n", tag.c_str(),
                  r.inter_reduction_pct, sep);
   }
@@ -83,9 +86,8 @@ int main(int argc, char** argv) {
   const sim::ExchangeBackend backends[] = {sim::ExchangeBackend::Direct,
                                            sim::ExchangeBackend::TwoDCA};
 
-  std::printf("%6s %10s | %7s %12s %12s %12s | %10s %12s\n", "ranks",
-              "backend", "stages", "a2a bytes", "inter bytes", "vs direct",
-              "score s", "score inter");
+  std::printf("%6s %10s | %12s %12s %12s | %12s\n", "ranks", "backend",
+              "a2a bytes", "inter bytes", "vs direct", "a2a model us");
 
   auto& rep = bench::report();
   std::vector<ExchangeRow> rows;
@@ -106,13 +108,6 @@ int main(int argc, char** argv) {
       cfg.bfs.exchange.backend = backend;
       auto result = bfs::run_graph500(topo, cfg);
 
-      const auto plan =
-          sim::ExchangePlan::build(backend, mesh.ranks(), mesh);
-      // Score one nominal exchange: the measured per-rank payload of the
-      // direct run would do, but a fixed 1 MiB keeps the score comparable
-      // across backends and machines.
-      const auto score = sim::score_exchange_plan(topo, plan, 1 << 20);
-
       if (backend == sim::ExchangeBackend::Direct)
         direct_inter = result.search_alltoallv_inter_bytes;
       const double delta =
@@ -120,23 +115,20 @@ int main(int argc, char** argv) {
               ? 100.0 * (1.0 - double(result.search_alltoallv_inter_bytes) /
                                    double(direct_inter))
               : 0.0;
-      std::printf("%6d %10s | %7d %12llu %12llu %11.1f%% | %10.6f %12llu\n",
+      std::printf("%6d %10s | %12llu %12llu %11.1f%% | %12.3f\n",
                   mesh.ranks(), sim::exchange_backend_name(backend),
-                  plan.stages(),
                   (unsigned long long)result.search_alltoallv_bytes,
                   (unsigned long long)result.search_alltoallv_inter_bytes,
-                  delta, score.modeled_s,
-                  (unsigned long long)score.inter_bytes);
+                  delta, result.search_alltoallv_modeled_s * 1e6);
 
       const std::string row = "exchange.ranks" + std::to_string(mesh.ranks()) +
                               "." + sim::exchange_backend_name(backend) + ".";
-      rep.add_counter(row + "stages", uint64_t(plan.stages()));
       rep.add_counter(row + "alltoallv_bytes", result.search_alltoallv_bytes);
       rep.add_counter(row + "alltoallv_inter_bytes",
                       result.search_alltoallv_inter_bytes);
       rep.gauge(row + "inter_reduction_pct", delta);
-      rep.gauge(row + "score_modeled_s", score.modeled_s);
-      rep.add_counter(row + "score_inter_bytes", score.inter_bytes);
+      rep.gauge(row + "alltoallv_modeled_s",
+                result.search_alltoallv_modeled_s);
       const uint64_t valid_roots = [&] {
         uint64_t n = 0;
         for (const auto& r : result.runs)
@@ -148,8 +140,9 @@ int main(int argc, char** argv) {
                       result.staging_allocs_steady);
       rows.push_back(ExchangeRow{mesh.ranks(),
                                  sim::exchange_backend_name(backend),
-                                 plan.stages(), result.search_alltoallv_bytes,
-                                 result.search_alltoallv_inter_bytes, delta,
+                                 result.search_alltoallv_bytes,
+                                 result.search_alltoallv_inter_bytes,
+                                 result.search_alltoallv_modeled_s, delta,
                                  valid_roots,
                                  result.staging_allocs_steady});
     }

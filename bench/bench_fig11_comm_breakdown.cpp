@@ -102,7 +102,7 @@ int main(int argc, char** argv) {
                     raw.search_allgather_bytes);
     rep.gauge(row + "encoding.alltoallv_reduction_pct", a2a_red);
 
-    // Exchange-backend axis: the same mesh driven through each ExchangePlan
+    // Exchange-backend axis: the same mesh driven through each exchange plan
     // (sim/exchange.hpp), compared on the inter-supernode subset of the
     // search alltoallv bytes — the traffic that crosses the oversubscribed
     // top-level links.  The axis pins the 1D engine top-down (pull levels

@@ -43,8 +43,8 @@ struct SsspOptions {
 };
 
 /// One cross-rank relaxation: candidate distance `value` for global vertex
-/// `dst` (owned by the receiver).  sssp15d's L-to-L round and mutate/repair
-/// ship it; staged plans keep the minimum per destination in flight.
+/// `dst` (owned by the receiver).  sssp15d's L-to-L round ships it; staged
+/// plans keep the minimum per destination in flight.
 using DistMsg = PropagateMsg<Dist, true>;
 
 /// Distances of this rank's owned vertices (kInfDist if unreachable).

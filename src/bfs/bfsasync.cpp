@@ -442,7 +442,7 @@ BfsAsyncResult bfsasync_run(sim::RankContext& ctx,
   // messages fold in flight; staged merging plans deliver k same-target
   // claims as one, so they run the stability-only variant (safe here — every
   // exchange completes inside the collective, see sim/termination.hpp).
-  sim::TerminationDetector term(channel.plan().stages() == 0);
+  sim::TerminationDetector term(!channel.staged());
 
   if (space.owner(root) == ctx.rank) {
     uint64_t lloc = space.to_local(ctx.rank, root);

@@ -81,6 +81,7 @@ RunnerResult run_graph500(const sim::Topology& topology,
   uint64_t allocs_warmup_total = 0, allocs_steady_total = 0;
   uint64_t search_a2a_bytes_total = 0, search_ag_bytes_total = 0;
   uint64_t search_a2a_inter_bytes_total = 0;
+  double search_a2a_modeled_s_total = 0;
 
   sim::SpmdOptions spmd_options;
   spmd_options.policy = config.fault_policy;
@@ -145,6 +146,7 @@ RunnerResult run_graph500(const sim::Topology& topology,
 
     uint64_t warmup_allocs = 0;
     uint64_t search_a2a = 0, search_a2a_inter = 0, search_ag = 0;
+    double search_a2a_modeled = 0;
     for (int i = 0; i < config.num_roots; ++i) {
       ctx.world.barrier();
       WallTimer run_wall;
@@ -156,6 +158,8 @@ RunnerResult run_graph500(const sim::Topology& topology,
           ctx.stats.entry(sim::CollectiveType::Alltoallv).bytes_sent;
       const uint64_t a2ax0 = ctx.stats.entry(sim::CollectiveType::Alltoallv)
                                  .bytes_inter_supernode;
+      const double a2am0 =
+          ctx.stats.entry(sim::CollectiveType::Alltoallv).modeled_s;
       const uint64_t ag0 =
           ctx.stats.entry(sim::CollectiveType::Allgather).bytes_sent;
       ctx.faults.armed = true;
@@ -175,6 +179,8 @@ RunnerResult run_graph500(const sim::Topology& topology,
       search_a2a_inter += ctx.stats.entry(sim::CollectiveType::Alltoallv)
                               .bytes_inter_supernode -
                           a2ax0;
+      search_a2a_modeled +=
+          ctx.stats.entry(sim::CollectiveType::Alltoallv).modeled_s - a2am0;
       search_ag +=
           ctx.stats.entry(sim::CollectiveType::Allgather).bytes_sent - ag0;
       if (ctx.rank == 0) wall_s[size_t(i)] = run_wall.seconds();
@@ -198,12 +204,14 @@ RunnerResult run_graph500(const sim::Topology& topology,
         ctx.world.allreduce_sum(ws.staging_allocs() - warmup_allocs);
     uint64_t a2a = ctx.world.allreduce_sum(search_a2a);
     uint64_t a2ax = ctx.world.allreduce_sum(search_a2a_inter);
+    double a2am = ctx.world.allreduce_max(search_a2a_modeled);
     uint64_t ag = ctx.world.allreduce_sum(search_ag);
     if (ctx.rank == 0) {
       allocs_warmup_total = wu;
       allocs_steady_total = st;
       search_a2a_bytes_total = a2a;
       search_a2a_inter_bytes_total = a2ax;
+      search_a2a_modeled_s_total = a2am;
       search_ag_bytes_total = ag;
     }
   }, spmd_options);
@@ -217,6 +225,7 @@ RunnerResult run_graph500(const sim::Topology& topology,
   result.staging_allocs_steady = allocs_steady_total;
   result.search_alltoallv_bytes = search_a2a_bytes_total;
   result.search_alltoallv_inter_bytes = search_a2a_inter_bytes_total;
+  result.search_alltoallv_modeled_s = search_a2a_modeled_s_total;
   result.search_allgather_bytes = search_ag_bytes_total;
 
   if (!result.spmd.ok()) {

@@ -84,6 +84,11 @@ struct RunnerResult {
   /// plan merges messages on intra-supernode hops before they reach the
   /// oversubscribed inter-supernode links (docs/COMM.md).
   uint64_t search_alltoallv_inter_bytes = 0;
+  /// Modeled network seconds of those search-phase alltoallvs, summed over
+  /// roots, on the rank whose sum is largest.  Deterministic like the
+  /// bytes; a staged plan pays one Topology::transfer_time per stage, each
+  /// over its row or column group.
+  double search_alltoallv_modeled_s = 0;
 
   /// Fold the whole benchmark into a metrics report: headline GTEPS and
   /// validation under "graph500.", summed per-subgraph BFS breakdown under

@@ -67,29 +67,4 @@ struct BfsStats {
                  const std::string& prefix = "bfs.") const;
 };
 
-/// Cross-rank roll-up of one run, computed by the harness.
-struct RunTiming {
-  /// Modeled run time: max over ranks of compute CPU plus the (rank-
-  /// identical) modeled communication time.  This is the clock used for
-  /// GTEPS in scaling experiments (single-host wall time cannot express the
-  /// parallelism being simulated).
-  double modeled_s = 0;
-  /// Host wall time of the whole SPMD run (simulation cost, for reference).
-  double wall_s = 0;
-};
-
-/// Roll per-rank stats into run timing.
-inline RunTiming roll_up(const std::vector<BfsStats>& per_rank,
-                         double wall_s) {
-  RunTiming t;
-  t.wall_s = wall_s;
-  double max_cpu = 0, comm = 0;
-  for (const auto& s : per_rank) {
-    max_cpu = std::max(max_cpu, s.total_cpu_s());
-    comm = std::max(comm, s.total_comm_modeled_s());
-  }
-  t.modeled_s = max_cpu + comm;
-  return t;
-}
-
 }  // namespace sunbfs::bfs

@@ -140,7 +140,6 @@ class CpeContext {
     ldcache_.emplace(bytes, line_bytes);
   }
 
-  void disable_ldcache() { ldcache_.reset(); }
   const LdCache* ldcache() const { return ldcache_ ? &*ldcache_ : nullptr; }
 
   /// Main-memory load through the LDCache when enabled (plain GLD

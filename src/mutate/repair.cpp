@@ -15,8 +15,8 @@ void RepairChannels::prime(sim::RankContext& ctx, size_t nthreads,
                            size_t arc_cap,
                            const sim::ExchangeOptions& exchange) {
   // One round stages at most one message per live arc from the frontier
-  // side plus one echo per received message (BFS only), so 2x arc capacity
-  // bounds every leg.  Repair stages serially (lane 0); `nthreads` lanes
+  // side plus one echo per received message, so 2x arc capacity bounds
+  // every leg.  Repair stages serially (lane 0); `nthreads` lanes
   // are primed anyway so a pooled begin() never grows.
   const size_t cap = 2 * arc_cap + 64;
   auto prime_one = [&](auto& ch) {
@@ -25,7 +25,6 @@ void RepairChannels::prime(sim::RankContext& ctx, size_t nthreads,
   };
   prime_one(inv);
   prime_one(relax);
-  prime_one(dist);
 }
 
 namespace {
@@ -56,7 +55,7 @@ struct RepairState {
   }
 };
 
-/// Cascade invalidation shared by both repairs.  `seed_round` stages the
+/// Cascade invalidation of the BFS repair.  `seed_round` stages the
 /// deletion-support revocations (round 0); `push_from` stages one
 /// invalidated vertex's revocations; `on_msg` applies one received
 /// revocation, returning the local index to invalidate or -1.
@@ -216,118 +215,6 @@ RepairStats repair_bfs(sim::RankContext& ctx, const partition::Part1d& part,
           m.src != m.dst)
         echoes.push_back(
             RelaxMsg{m.src, uint32_t(depth[lv]) + 1, m.dst});
-    }
-  }
-
-  stats.compute_model_s = double(arcs_scanned) * options.sim_seconds_per_edge;
-  return stats;
-}
-
-RepairStats repair_sssp(sim::RankContext& ctx, const partition::Part1d& part,
-                        const MutationBatch& batch, Vertex root,
-                        std::span<analytics::Dist> dist,
-                        const analytics::SsspOptions& weights,
-                        const RepairOptions& options) {
-  using analytics::Dist;
-  using analytics::kInfDist;
-  const partition::VertexSpace& space = part.space;
-  const uint64_t local_count = space.count(ctx.rank);
-  SUNBFS_CHECK(dist.size() == local_count);
-
-  std::unique_ptr<ThreadPool> owned_pool;
-  if (options.pool == nullptr) owned_pool = std::make_unique<ThreadPool>(1);
-  ThreadPool& pool = options.pool != nullptr ? *options.pool : *owned_pool;
-  std::unique_ptr<RepairChannels> owned_ch;
-  if (options.channels == nullptr) {
-    owned_ch = std::make_unique<RepairChannels>();
-    owned_ch->prime(ctx, 1, size_t(part.adj.arc_capacity()),
-                    options.exchange);
-  }
-  RepairChannels& ch =
-      options.channels != nullptr ? *options.channels : *owned_ch;
-
-  auto weight = [&](Vertex a, Vertex b) {
-    return analytics::edge_weight(a, b, weights.weight_seed,
-                                  weights.max_weight);
-  };
-
-  RepairStats stats;
-  RepairState st(local_count);
-  uint64_t arcs_scanned = 0;
-
-  // ---- Phase 1: cascade invalidation. ---------------------------------
-  // A deletion seed needs the far endpoint's old distance, so the seed
-  // round messages each deleted edge's revoked tightness from the endpoint
-  // owners (the deleted arcs are already gone from the adjacency).
-  run_cascade(
-      ctx, space, ch.inv, pool, st, stats,
-      /*seed_round=*/
-      [&](auto&& push) {
-        for (const graph::Edge& e : batch.deletes) {
-          auto seed = [&](Vertex from, Vertex to) {
-            if (from == to || space.owner(from) != ctx.rank) return;
-            uint64_t lf = space.to_local(ctx.rank, from);
-            if (dist[lf] < kInfDist)
-              push(to, uint64_t(dist[lf] + weight(from, to)));
-          };
-          seed(e.u, e.v);
-          seed(e.v, e.u);
-        }
-      },
-      /*push_from=*/
-      [&](uint32_t lv, auto&& push) {
-        // dist[lv] still holds the pre-reset value during the cascade.
-        Vertex g = space.to_global(ctx.rank, lv);
-        for (Vertex nbr : part.adj.neighbors(lv))
-          push(nbr, uint64_t(dist[lv] + weight(g, nbr)));
-        arcs_scanned += part.adj.degree(lv);
-      },
-      /*on_msg=*/
-      [&](uint64_t lv, const InvMsg& m) {
-        // The root's distance 0 can never equal a positive-weight basis.
-        return dist[lv] < kInfDist && dist[lv] == Dist(m.val);
-      });
-  stats.seeds = stats.invalidated;
-
-  // ---- Phase 2: reset + repair relaxation. ----------------------------
-  st.invalid.for_each_set([&](size_t lv) { dist[lv] = kInfDist; });
-  st.boundary.and_not(st.invalid);
-  st.boundary.for_each_set([&](size_t lv) {
-    if (dist[lv] < kInfDist) st.enqueue(lv);
-  });
-  for (const graph::Edge& e : batch.inserts) {
-    for (Vertex a : {e.u, e.v}) {
-      if (space.owner(a) != ctx.rank) continue;
-      uint64_t la = space.to_local(ctx.rank, a);
-      if (!st.invalid.get(size_t(la)) && dist[la] < kInfDist) st.enqueue(la);
-    }
-  }
-  (void)root;
-
-  for (;;) {
-    ch.dist.begin_world(1);
-    uint64_t staged = 0;
-    for (uint32_t lv : st.frontier) {
-      Vertex g = space.to_global(ctx.rank, lv);
-      for (Vertex nbr : part.adj.neighbors(lv)) {
-        ch.dist.push(0, size_t(space.owner(nbr)),
-                     analytics::DistMsg{nbr, dist[lv] + weight(g, nbr)});
-        ++staged;
-      }
-      arcs_scanned += part.adj.degree(lv);
-    }
-    st.frontier.clear();
-    st.in_frontier.reset();
-    if (ctx.world.allreduce_sum(staged) == 0) break;
-    ++stats.repair_rounds;
-    std::span<const analytics::DistMsg> got = ch.dist.exchange(ctx.world, pool);
-    for (const analytics::DistMsg& m : got) {
-      uint64_t lv = space.to_local(ctx.rank, m.dst);
-      if (m.value < dist[lv]) {
-        dist[lv] = m.value;
-        ++stats.relaxations;
-        st.enqueue(lv);
-      }
     }
   }
 

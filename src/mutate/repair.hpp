@@ -4,39 +4,36 @@
 #include <span>
 #include <vector>
 
-#include "analytics/sssp.hpp"
 #include "mutate/log.hpp"
 #include "partition/part1d.hpp"
 #include "sim/exchange_channel.hpp"
 #include "sim/runtime.hpp"
 #include "support/thread_pool.hpp"
 
-/// Incremental BFS/SSSP repair after a mutation batch: only vertices whose
-/// parent / relaxed edge was invalidated re-enter the frontier, instead of
-/// a full recompute.  Differential-oracle contract (ctest -L mutation):
-/// repaired trees/distances bit-match a full recompute on the mutated
-/// snapshot.
+/// Incremental BFS repair after a mutation batch: only vertices whose tree
+/// parent was invalidated re-enter the frontier, instead of a full
+/// recompute.  Differential-oracle contract (ctest -L mutation): repaired
+/// trees bit-match a full recompute on the mutated snapshot.  (SSSP answers
+/// are never resident — the service computes them fresh per query — so
+/// there is no distance repair.)
 ///
-/// Both repairs run the same two phases over the post-mutation 1D
-/// adjacency, collectively:
+/// The repair runs two phases over the post-mutation 1D adjacency,
+/// collectively:
 ///
-///   1. **Cascade invalidation.**  Seeds are owned vertices whose tree /
-///      tightness support was deleted by the batch; each invalidated vertex
-///      pushes to its neighbors, and a receiver joins the invalid set when
-///      its own support points at the sender (BFS: parent == sender; SSSP:
-///      old distance tight through the sender).  For BFS the invalid set is
-///      exactly the tree descendants of the seeds; for SSSP it is a
-///      conservative closure (every vertex all of whose old shortest paths
-///      died is included).  Valid receivers are the repair boundary.
+///   1. **Cascade invalidation.**  Seeds are owned vertices whose tree
+///      support was deleted by the batch; each invalidated vertex pushes to
+///      its neighbors, and a receiver joins the invalid set when its parent
+///      is the sender.  The invalid set is exactly the tree descendants of
+///      the seeds; valid receivers are the repair boundary.
 ///   2. **Repair relaxation.**  Invalidated state resets to unreached;
 ///      boundary vertices and insert endpoints re-enter the frontier and
 ///      chaotic (Bellman-Ford) rounds relax until a fixpoint, which equals
-///      the exact recompute because surviving values never undershoot the
-///      mutated graph's true values.  BFS additionally restores the
-///      canonical max-global-id parent rule: receivers take ties by max
-///      source, and a receiver that cannot improve echoes its own depth
-///      back to a pushing neighbor whose depth just dropped, so late
-///      same-depth parents are never missed.
+///      the exact recompute because surviving depths never undershoot the
+///      mutated graph's true depths.  The canonical max-global-id parent
+///      rule is restored too: receivers take ties by max source, and a
+///      receiver that cannot improve echoes its own depth back to a pushing
+///      neighbor whose depth just dropped, so late same-depth parents are
+///      never missed.
 ///
 /// Affected-region discovery rides the ordinary ExchangeChannel pools —
 /// encoded, checksummed, staged-backend routed — and a caller can hand in
@@ -44,9 +41,8 @@
 namespace sunbfs::mutate {
 
 /// Cascade invalidation push for global vertex `dst` (receiver-owned).
-/// `val` names the support being revoked: the sender's global id for BFS
-/// (receiver checks parent == val), the sender's old distance plus the edge
-/// weight for SSSP (receiver checks dist == val).
+/// `val` names the support being revoked: the sender's global id (receiver
+/// checks parent == val).
 struct InvMsg {
   graph::Vertex dst;
   uint64_t val;
@@ -71,13 +67,12 @@ inline constexpr int32_t kUnreachedDepth = -1;
 struct RepairChannels {
   sim::ExchangeChannel<InvMsg> inv;
   sim::ExchangeChannel<RelaxMsg> relax;
-  sim::ExchangeChannel<analytics::DistMsg> dist;
 
   void prime(sim::RankContext& ctx, size_t nthreads, size_t arc_cap,
              const sim::ExchangeOptions& exchange);
 
   uint64_t allocs() const {
-    return inv.allocs() + relax.allocs() + dist.allocs();
+    return inv.allocs() + relax.allocs();
   }
 };
 
@@ -121,15 +116,6 @@ RepairStats repair_bfs(sim::RankContext& ctx, const partition::Part1d& part,
                        std::span<graph::Vertex> parent,
                        std::span<int32_t> depth,
                        const RepairOptions& options = {});
-
-/// Repair owned SSSP distances in place after `batch` was applied; weights
-/// come from analytics::edge_weight under `weights`.  On return `dist`
-/// bit-matches a fresh SSSP on the mutated graph.  Collective.
-RepairStats repair_sssp(sim::RankContext& ctx, const partition::Part1d& part,
-                        const MutationBatch& batch, graph::Vertex root,
-                        std::span<analytics::Dist> dist,
-                        const analytics::SsspOptions& weights,
-                        const RepairOptions& options = {});
 
 }  // namespace sunbfs::mutate
 

@@ -34,10 +34,6 @@ class Json {
   static Json parse(std::string_view text);
 
   Kind kind() const { return kind_; }
-  bool is_object() const { return kind_ == Kind::Object; }
-  bool is_array() const { return kind_ == Kind::Array; }
-  bool is_number() const { return kind_ == Kind::Number; }
-  bool is_string() const { return kind_ == Kind::String; }
 
   bool as_bool() const;
   double as_double() const;

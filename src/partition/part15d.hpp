@@ -68,16 +68,6 @@ struct Part15d {
 
   /// Arc count stored on this rank per subgraph (Figure 13 balance data).
   std::array<uint64_t, kSubgraphCount> arc_counts{};
-
-  // --- mesh placement helpers -------------------------------------------
-  /// Mesh row of the rank owning EH id k.
-  int eh_row(uint64_t eh_id, const sim::MeshShape& mesh) const {
-    return mesh.row_of(eh_space.owner(graph::Vertex(eh_id)));
-  }
-  /// Mesh column of the rank owning EH id k.
-  int eh_col(uint64_t eh_id, const sim::MeshShape& mesh) const {
-    return mesh.col_of(eh_space.owner(graph::Vertex(eh_id)));
-  }
 };
 
 /// Build the 1.5D partition collectively.  `slice` is this rank's slice of

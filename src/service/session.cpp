@@ -21,7 +21,17 @@ using graph::Vertex;
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
-}
+/// Deterministic compute model for SSSP-root queries (they relax each
+/// in-component edge several times; BFS uses msbfs.sim_seconds_per_edge).
+constexpr double kSsspSecondsPerEdge = 8e-9;
+/// Modeled ingest seconds charged per mutation edge op (insert or delete) —
+/// the mutation feed is modeled, not measured (DESIGN.md deviations).
+constexpr double kMutationSecondsPerOp = 5e-7;
+/// Capped exponential backoff before a broker re-admission:
+/// base * 2^attempt, capped.
+constexpr double kRetryBackoffS = 1e-3;
+constexpr double kRetryBackoffCapS = 8e-3;
+}  // namespace
 
 double percentile(std::vector<double> samples, double p) {
   if (samples.empty()) return 0;
@@ -188,10 +198,11 @@ ServiceReport GraphSession::serve(const WorkloadConfig& workload,
     }
     // Resident repair channels + landmark tree state: the sketch's owned
     // parent/depth slices survive between batches so repair_bfs can patch
-    // them instead of a full MS-BFS rebuild after every mutation.
+    // them and reinstall the sketch at the new epoch, instead of a full
+    // MS-BFS rebuild on the next point-to-point probe.
     mutate::RepairChannels rchan;
-    const bool repair_lm = mutating && config_.cache.enabled &&
-                           mcfg.repair_sketch && config_.cache.landmarks > 0;
+    const bool repair_lm =
+        mutating && config_.cache.enabled && config_.cache.landmarks > 0;
     if (mutating)
       rchan.prime(ctx, 1, size_t(part1.adj.num_arcs()) + insert_headroom,
                   config_.msbfs.exchange);
@@ -474,7 +485,7 @@ ServiceReport GraphSession::serve(const WorkloadConfig& workload,
         double cost = local_cost;
         if (bkind == QueryKind::SsspRoot)
           for (uint64_t t : trav)
-            cost += double(t) * config_.sssp_seconds_per_edge /
+            cost += double(t) * kSsspSecondsPerEdge /
                     (double(nranks) * double(ws.pool().size()));
         // Batch service time on the virtual clock: slowest rank's modeled
         // network seconds plus its deterministic compute model and fault
@@ -507,9 +518,8 @@ ServiceReport GraphSession::serve(const WorkloadConfig& workload,
         now = start + service_s;
         for (const Query& q : batch) {
           const double backoff = std::min(
-              config_.retry_backoff_cap_s,
-              config_.retry_backoff_s *
-                  double(uint64_t(1) << std::min(q.attempt, 20)));
+              kRetryBackoffCapS,
+              kRetryBackoffS * double(uint64_t(1) << std::min(q.attempt, 20)));
           const double retry_at = now + backoff;
           if (q.attempt < config_.retry_budget && retry_at < q.deadline_s) {
             Query rq = q;
@@ -613,8 +623,8 @@ ServiceReport GraphSession::serve(const WorkloadConfig& workload,
         const sim::FaultPlan* plan = ctx.faults.plan;
         ctx.faults.plan = nullptr;
         const double comm0 = ctx.stats.total_modeled_s();
-        double local_cost =
-            double(mb.inserts.size() + mb.deletes.size()) * mcfg.seconds_per_op;
+        double local_cost = double(mb.inserts.size() + mb.deletes.size()) *
+                            kMutationSecondsPerOp;
         mutate::ApplyStats as =
             mutate::apply_batch_1d(ctx.rank, part1, mb, &degrees);
         if (part15)

@@ -70,13 +70,6 @@ struct MutationConfig {
   /// Apply batch k before admitting query id k * every (0 disables).
   uint64_t every = 32;
   uint64_t max_batches = 64;
-  /// Modeled ingest seconds charged per edge op (insert or delete) — the
-  /// mutation feed is modeled, not measured (docs/DESIGN.md deviations).
-  double seconds_per_op = 5e-7;
-  /// Incrementally repair the resident landmark BFS trees (src/mutate
-  /// repair_bfs) and reinstall the sketch at the new epoch, instead of
-  /// letting the next point-to-point probe trigger a full MS-BFS rebuild.
-  bool repair_sketch = true;
 };
 
 struct ServiceConfig {
@@ -90,9 +83,6 @@ struct ServiceConfig {
   uint64_t root_seed = 7;
   MsbfsOptions msbfs;  ///< workspace/staging fields are managed per rank
   analytics::SsspOptions sssp;
-  /// Deterministic compute model for SSSP-root queries (they relax each
-  /// in-component edge several times; BFS uses msbfs.sim_seconds_per_edge).
-  double sssp_seconds_per_edge = 8e-9;
   /// Distance-oracle cache between the broker and the engines
   /// (src/service/oracle/): LRU of exact trees + landmark sketches +
   /// lease-based self-invalidation.  Disabled by default — the cache-off
@@ -112,13 +102,10 @@ struct ServiceConfig {
   sim::FaultPolicy fault_policy = sim::FaultPolicy::Recover;
   sim::ChecksumMode checksums = sim::ChecksumMode::Auto;
   /// Broker-level re-admissions allowed per query after its batch exhausted
-  /// in-engine recovery (0 fails immediately).
+  /// in-engine recovery (0 fails immediately).  Each waits a capped
+  /// exponential backoff first (session.cpp); a retry that cannot land
+  /// before the query's deadline is not scheduled — the query fails fast.
   int retry_budget = 2;
-  /// Capped exponential backoff before a re-admission: base * 2^attempt,
-  /// capped.  A retry that cannot land before the query's deadline is not
-  /// scheduled — the query fails fast instead.
-  double retry_backoff_s = 1e-3;
-  double retry_backoff_cap_s = 8e-3;
   HedgeConfig hedge;
 };
 

@@ -40,11 +40,11 @@ namespace sunbfs::sim {
 /// enabled for a message type, A2aStaging::exchange() sorts each
 /// destination block (WireFormat<T>::less) and folds adjacent same()-group
 /// messages into one before anything ships.  The primary template disables
-/// merging; only Routed<T>, the staged-hop envelope, bridges to the
-/// payload's ExchangeMergePolicy — so direct pools ship byte-identical
-/// traffic whether or not the payload is mergeable.  same() groups must be
-/// contiguous under the wire order — i.e. same(a, b) implies equal sort
-/// keys.
+/// merging; only Routed<T>, the envelope ExchangeChannel's row and column
+/// stage pools carry, bridges to the payload's ExchangeMergePolicy — so
+/// direct pools ship byte-identical traffic whether or not the payload is
+/// mergeable.  same() groups must be contiguous under the wire order — i.e.
+/// same(a, b) implies equal sort keys.
 template <typename T>
 struct ExchangeFold {
   static constexpr bool enabled = false;
@@ -124,19 +124,6 @@ class A2aStaging {
   /// Call before prime() so the encoded buffers are included in the warmup
   /// reservation.
   void set_encoded(bool encoded) { encoded_ = encoded; }
-
-  /// Reserve one specific lane's capacity (counted like any growth).  The
-  /// staged-exchange channel uses this to prime exactly the hop lanes a plan
-  /// can reach instead of every (thread, destination) pair.  `nparts` fixes
-  /// the round shape the lane index is computed against, as in prime().
-  void prime_lane(size_t nparts, size_t thread, size_t dst, size_t cap) {
-    const size_t lane = thread * nparts + dst;
-    SUNBFS_ASSERT(lane < lanes_.size());
-    if (lanes_[lane].capacity() < cap) {
-      ++allocs_;
-      lanes_[lane].reserve(cap);
-    }
-  }
 
   /// Append one message for destination `dst` from writer lane `thread`.
   /// Lanes are single-writer: each thread only pushes to its own lane index.

@@ -2,12 +2,9 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "sim/comm_buffer.hpp"
 #include "sim/encoding.hpp"
-#include "sim/topology.hpp"
-#include "support/check.hpp"
 
 /// Exchange plans for the staged point-to-point (alltoallv-shaped) frontier
 /// traffic of every engine (docs/COMM.md "Exchange plans").
@@ -15,25 +12,25 @@
 /// The engines stage one personalized message stream per destination each
 /// level; how those streams reach their destinations is the exchange plan:
 ///
-///   Direct     one alltoallv — every rank injects every destination block
-///              straight onto the network (the paper's hardware-assisted
-///              exchange; our modeled baseline),
+///   Direct     one alltoallv over the world communicator — every rank
+///              injects every destination block straight onto the network
+///              (the paper's hardware-assisted exchange; our modeled
+///              baseline),
 ///   TwoDCA     the 2D communication-avoiding split (Buluç & Madduri, arXiv
 ///              1104.4518), which is also the paper's §4.4 hierarchical L2L
-///              route taken row-first: stage one moves messages within the
-///              holder's mesh row to the destination's column, stage two
-///              delivers down the column — at most one inter-supernode hop
-///              per message, and mergeable messages headed for the same
-///              (destination rank, key) collapse at the intermediate rank.
+///              route taken row-first: stage one moves messages over the
+///              holder's row communicator to the destination's column,
+///              stage two delivers them over that column communicator — at
+///              most one inter-supernode hop per message, and mergeable
+///              messages headed for the same (destination rank, key)
+///              collapse at the intermediate rank.
 ///
-/// A plan is pure routing metadata: build() derives the stage count from
-/// (backend, nparts, mesh) and hop() answers "where does a message for `dst`
-/// held at `holder` go next".  Execution lives in ExchangeChannel
-/// (sim/exchange_channel.hpp), which runs every stage through the ordinary
-/// A2aStaging pools, so wire encoding, xxhash64 checksums, fault injection
-/// and Topology byte charging all apply per stage unchanged.  stages() == 0
-/// means "this plan degenerates to the direct alltoallv" (one rank, a mesh
-/// with nothing to split, or the Direct backend itself).
+/// Execution lives in ExchangeChannel (sim/exchange_channel.hpp), which runs
+/// each stage through an ordinary A2aStaging pool on RankContext::row and
+/// RankContext::col, so wire encoding, xxhash64 checksums, fault injection
+/// and Topology byte charging all apply per stage unchanged.  A mesh with
+/// nothing to split (one row or one column) runs TwoDCA as the direct
+/// alltoallv.
 namespace sunbfs::sim {
 
 enum class ExchangeBackend : uint8_t { Direct = 0, TwoDCA = 1 };
@@ -65,49 +62,6 @@ struct ExchangeOptions {
   /// frontier gathers.  On by default: the encoded path is the product path,
   /// and the fault suite exercises checksums over encoded bytes.
   bool encoding = true;
-};
-
-/// Staged routing plan for one (backend, nparts, mesh) combination.
-class ExchangePlan {
- public:
-  /// Direct plan: zero stages, pure alltoallv.
-  ExchangePlan() = default;
-
-  /// Derive the stage count.  `nparts` is the communicator size the exchange
-  /// runs over; `mesh` is the full process mesh.  TwoDCA needs the row/column
-  /// geometry, so it only stages when nparts covers the whole mesh and the
-  /// mesh has something to split (a 1xC or Rx1 mesh is already direct).
-  static ExchangePlan build(ExchangeBackend backend, int nparts,
-                            MeshShape mesh) {
-    ExchangePlan plan;
-    plan.nparts_ = nparts;
-    plan.mesh_ = mesh;
-    if (backend == ExchangeBackend::TwoDCA && nparts > 1 &&
-        nparts == mesh.ranks() && mesh.rows > 1 && mesh.cols > 1)
-      plan.stages_ = 2;
-    return plan;
-  }
-
-  int nparts() const { return nparts_; }
-  /// Number of staged hops; 0 means execute as one direct alltoallv.
-  int stages() const { return stages_; }
-
-  /// Next hop for a message destined to `dst` currently held at `holder`:
-  /// stage 0 is the row split, stage 1 the column delivery.  hop(stage, ...)
-  /// == holder is a (free) self-hop.  After running every stage in order
-  /// the message is at `dst`.
-  int hop(int stage, int holder, int dst) const {
-    SUNBFS_ASSERT(stage >= 0 && stage < stages());
-    SUNBFS_ASSERT(holder >= 0 && holder < nparts_);
-    SUNBFS_ASSERT(dst >= 0 && dst < nparts_);
-    return stage == 0 ? mesh_.rank_of(mesh_.row_of(holder), mesh_.col_of(dst))
-                      : dst;
-  }
-
- private:
-  int nparts_ = 0;
-  int stages_ = 0;
-  MeshShape mesh_{};
 };
 
 /// ---- In-flight merging ---------------------------------------------------
@@ -209,25 +163,5 @@ struct WireFormat<Routed<T>> {
     return Inner::get_rest(p, end, key, m.msg);
   }
 };
-
-/// ---- Plan scoring --------------------------------------------------------
-
-/// Modeled cost of running one exchange of `bytes_per_rank` per-rank payload
-/// under a plan, from the uniform-traffic volume model (no merge discount —
-/// the score is the upper bound a backend must beat through merging; the
-/// benches report both the score and the measured bytes).
-struct ExchangeScore {
-  int stages = 0;            ///< 0 = direct
-  uint64_t total_bytes = 0;  ///< bytes crossing any link, all stages
-  uint64_t inter_bytes = 0;  ///< subset crossing supernodes
-  double modeled_s = 0;      ///< sum of per-stage Topology::transfer_time
-};
-
-/// Score `plan` on `topo` assuming every rank sends `bytes_per_rank` spread
-/// uniformly over all destinations.  Self-hops are free, matching Comm's
-/// byte accounting.
-ExchangeScore score_exchange_plan(const Topology& topo,
-                                  const ExchangePlan& plan,
-                                  uint64_t bytes_per_rank);
 
 }  // namespace sunbfs::sim

@@ -11,102 +11,108 @@
 #include "support/check.hpp"
 #include "support/thread_pool.hpp"
 
-/// Execution of an ExchangePlan over the reusable staging pools.
+/// Execution of the exchange plans over reusable staging pools.
 ///
 /// ExchangeChannel<T> keeps the A2aStaging begin/push/exchange/src_offsets
 /// surface the engines already speak.  One configure() call takes the rank
-/// context and the engine's ExchangeOptions: it builds and keeps the plan
-/// for world rounds and sets the wire encoding of both legs.  A world round
-/// (begin_world) under a plan with stages() > 0 wraps every push in a
-/// Routed<T> envelope, sends it through the plan's hops (each hop an
-/// ordinary — encoded, checksummed, fault-injectable — alltoallv over the
-/// same communicator), merges in flight where the payload's
-/// ExchangeMergePolicy allows, and finally unwraps into a receive buffer
-/// whose per-source delimiters match what a direct alltoallv would have
-/// produced.  Receivers that reconstruct global ids from the source rank
-/// (CompactMsg, MsbfsMsg) therefore work unchanged; they only ever see
+/// context and the engine's ExchangeOptions: it keeps the row and column
+/// communicators, decides whether world rounds are staged, and sets the
+/// wire encoding of every pool.  A staged world round (begin_world under
+/// TwoDCA on a mesh with at least two rows and two columns) wraps every push
+/// in a Routed<T> envelope and runs two ordinary — encoded, checksummed,
+/// fault-injectable — alltoallvs: stage 0 over RankContext::row to the
+/// row-mate in the destination's column, stage 1 over RankContext::col to
+/// the destination itself.  Each stage merges in flight where the payload's
+/// ExchangeMergePolicy allows, and the round finally unwraps into a receive
+/// buffer whose per-source delimiters match what a direct alltoallv would
+/// have produced.  Receivers that reconstruct global ids from the source
+/// rank (CompactMsg, MsbfsMsg) therefore work unchanged; they only ever see
 /// messages in a different order, which every receive path tolerates by
 /// contract (docs/PERF.md).
 ///
-/// Two pools by value: `direct_` carries plain T rounds, `hop_` carries the
-/// routed envelopes.  Keeping them separate (rather than nesting
-/// A2aStaging<Routed<T>> rounds inside one pool) preserves the grow-only
-/// capacity story — prime() reserves both shapes up front and steady-state
-/// `comm.staging_allocs` stays zero under every plan.
+/// Three pools by value: `direct_` carries plain T rounds, `row_pool_` and
+/// `col_pool_` the routed envelopes of the two stages.  Keeping them
+/// separate preserves the grow-only capacity story — prime() reserves every
+/// shape up front and steady-state `comm.staging_allocs` stays zero under
+/// every plan.
 namespace sunbfs::sim {
 
 template <typename T>
 class ExchangeChannel {
  public:
-  /// Set up world rounds on `ctx`: build the plan `options.backend` selects
-  /// for ctx.world and set `options.encoding` on both legs.  Call before
-  /// prime() so encoded buffers land in the warmup reservation.
-  void configure(const RankContext& ctx, const ExchangeOptions& options) {
-    plan_ = ExchangePlan::build(options.backend, ctx.nranks(), ctx.mesh);
+  /// Set up world rounds on `ctx`: keep its row and column communicators,
+  /// stage when `options.backend` is TwoDCA and the mesh has both rows and
+  /// columns to split, and set `options.encoding` on every pool.  Call
+  /// before prime() so encoded buffers land in the warmup reservation.
+  void configure(RankContext& ctx, const ExchangeOptions& options) {
+    mesh_ = ctx.mesh;
     self_ = ctx.rank;
+    row_ = &ctx.row;
+    col_ = &ctx.col;
+    staged_ = options.backend == ExchangeBackend::TwoDCA && mesh_.rows > 1 &&
+              mesh_.cols > 1;
     direct_.set_encoded(options.encoding);
-    hop_.set_encoded(options.encoding);
+    row_pool_.set_encoded(options.encoding);
+    col_pool_.set_encoded(options.encoding);
   }
-  const ExchangePlan& plan() const { return plan_; }
+  /// Whether world rounds run the two TwoDCA stages.
+  bool staged() const { return staged_; }
 
   /// Open a direct round over `nparts` peers: plain alltoallv,
   /// byte-identical to A2aStaging (the 1.5D row/column sub-exchanges).
   void begin(size_t nparts, size_t nthreads) {
-    staged_ = false;
-    nparts_ = nparts;
+    routing_ = false;
     direct_.begin(nparts, nthreads);
   }
 
-  /// Open a world round routed by the configured plan.  A degenerate plan
-  /// (stages() == 0) runs the direct round — same bytes, same collective
-  /// count on every rank.
+  /// Open a world round.  Unstaged channels run the direct round — same
+  /// bytes, same collective count on every rank.
   void begin_world(size_t nthreads) {
-    if (plan_.stages() == 0) {
-      begin(size_t(plan_.nparts()), nthreads);
+    if (!staged_) {
+      begin(size_t(mesh_.ranks()), nthreads);
       return;
     }
-    staged_ = true;
-    nparts_ = size_t(plan_.nparts());
-    hop_.begin(nparts_, nthreads);
+    routing_ = true;
+    row_pool_.begin(size_t(mesh_.cols), nthreads);
   }
 
   /// Append one message for final destination `dst` from writer lane
-  /// `thread`.  Staged rounds stage into the stage-0 hop's lane.
+  /// `thread`.  Staged rounds stage it for the row-mate in dst's column.
   void push(size_t thread, size_t dst, const T& msg) {
-    if (!staged_) {
+    if (!routing_) {
       direct_.push(thread, dst, msg);
       return;
     }
-    const size_t first = size_t(plan_.hop(0, self_, int(dst)));
-    hop_.push(thread, first,
-              Routed<T>{Routed<T>::make_route(uint32_t(dst), uint32_t(self_)),
-                        msg});
+    row_pool_.push(
+        thread, size_t(mesh_.col_of(int(dst))),
+        Routed<T>{Routed<T>::make_route(uint32_t(dst), uint32_t(self_)), msg});
   }
 
-  /// Run the round: one alltoallv when direct, one per stage when staged
-  /// (re-staging between hops, merging at every one).  Returns the received
+  /// Run the round: one alltoallv over `comm` when direct; when staged, one
+  /// over the row communicator and one over the column communicator
+  /// (`comm` must then be the world communicator).  Returns the received
   /// concatenation, delimited per original source by src_offsets().
   std::span<const T> exchange(Comm& comm, ThreadPool& pool) {
-    if (!staged_) return direct_.exchange(comm, pool);
-    std::span<const Routed<T>> held = hop_.exchange(comm, pool);
-    for (int s = 1; s < plan_.stages(); ++s) {
-      hop_.begin(nparts_, 1);
-      for (const Routed<T>& m : held)
-        hop_.push(0, size_t(plan_.hop(s, self_, int(m.dst_part()))), m);
-      held = hop_.exchange(comm, pool);
-    }
+    if (!routing_) return direct_.exchange(comm, pool);
+    SUNBFS_ASSERT(comm.size() == mesh_.ranks());
+    std::span<const Routed<T>> held = row_pool_.exchange(*row_, pool);
+    col_pool_.begin(size_t(mesh_.rows), 1);
+    for (const Routed<T>& m : held)
+      col_pool_.push(0, size_t(mesh_.row_of(int(m.dst_part()))), m);
+    held = col_pool_.exchange(*col_, pool);
     // Every surviving envelope terminates here; unwrap with a stable
     // counting sort by source rank so src_offsets() delimits exactly as a
     // direct alltoallv would (the merge policies guarantee each survivor's
     // source is the one whose payload the receiver must attribute).
-    if (src_offsets_.capacity() < nparts_ + 1) ++allocs_;
-    src_offsets_.assign(nparts_ + 1, 0);
+    const size_t nranks = size_t(mesh_.ranks());
+    if (src_offsets_.capacity() < nranks + 1) ++allocs_;
+    src_offsets_.assign(nranks + 1, 0);
     for (const Routed<T>& m : held) {
       SUNBFS_ASSERT(m.dst_part() == uint32_t(self_));
       ++src_offsets_[m.src_part() + 1];
     }
-    for (size_t s = 0; s < nparts_; ++s) src_offsets_[s + 1] += src_offsets_[s];
-    if (fill_.capacity() < nparts_) ++allocs_;
+    for (size_t s = 0; s < nranks; ++s) src_offsets_[s + 1] += src_offsets_[s];
+    if (fill_.capacity() < nranks) ++allocs_;
     fill_.assign(src_offsets_.begin(), src_offsets_.end() - 1);
     if (held.size() > final_.capacity()) ++allocs_;
     final_.clear();
@@ -117,42 +123,34 @@ class ExchangeChannel {
 
   /// Per-source delimiters into the last exchange()'s result (nparts+1).
   const std::vector<size_t>& src_offsets() const {
-    return staged_ ? src_offsets_ : direct_.src_offsets();
+    return routing_ ? src_offsets_ : direct_.src_offsets();
   }
 
-  /// Pre-size both legs for world rounds of the configured plan staged by
-  /// `nthreads` writers (A2aStaging::prime's contract; smaller sub-exchange
-  /// rounds fit inside it).  `lane_cap` bounds one writer lane — on the
-  /// staged leg a writer's whole volume, since a single first hop can absorb
-  /// everything a thread pushes — and `send_cap` the rank's per-round (per
-  /// stage) traffic.  Only the hop lanes the plan can actually reach from
-  /// this rank get the big reservations; everything else stays at zero,
-  /// which is what keeps staged priming affordable while steady-state
-  /// allocs still reach zero after the warmup root.
+  /// Pre-size every pool for world rounds staged by `nthreads` writers
+  /// (A2aStaging::prime's contract; smaller sub-exchange rounds fit inside
+  /// it).  `lane_cap` bounds one writer lane and `send_cap` the rank's
+  /// per-round (per stage) traffic.  The row pool gets the writer lanes of
+  /// its C destinations; the column pool, fed by one re-staging writer, gets
+  /// R lanes that can each absorb a whole stage.
   void prime(size_t nthreads, size_t lane_cap, size_t send_cap,
              size_t recv_cap) {
-    const size_t nparts = size_t(plan_.nparts());
-    SUNBFS_CHECK(nparts > 0);  // configure() first
-    direct_.prime(nparts, nthreads, lane_cap, send_cap, recv_cap);
-    if (plan_.stages() == 0) return;
+    const size_t nranks = size_t(mesh_.ranks());
+    SUNBFS_CHECK(row_ != nullptr);  // configure() first
+    direct_.prime(nranks, nthreads, lane_cap, send_cap, recv_cap);
+    if (!staged_) return;
     // The convergent row split can briefly double a rank's held volume
     // relative to the uniform per-rank bound.
     const size_t stage_cap = 2 * send_cap + 64;
-    hop_.prime(nparts, nthreads, /*lane_cap=*/0, stage_cap, stage_cap);
-    for (int d = 0; d < int(nparts); ++d) {
-      const size_t h0 = size_t(plan_.hop(0, self_, d));
-      for (size_t t = 0; t < nthreads; ++t)
-        hop_.prime_lane(nparts, t, h0, lane_cap);
-      for (int s = 1; s < plan_.stages(); ++s)
-        hop_.prime_lane(nparts, 0, size_t(plan_.hop(s, self_, d)), stage_cap);
-    }
-    if (src_offsets_.capacity() < nparts + 1) {
+    row_pool_.prime(size_t(mesh_.cols), nthreads, lane_cap, stage_cap,
+                    stage_cap);
+    col_pool_.prime(size_t(mesh_.rows), 1, stage_cap, stage_cap, stage_cap);
+    if (src_offsets_.capacity() < nranks + 1) {
       ++allocs_;
-      src_offsets_.reserve(nparts + 1);
+      src_offsets_.reserve(nranks + 1);
     }
-    if (fill_.capacity() < nparts) {
+    if (fill_.capacity() < nranks) {
       ++allocs_;
-      fill_.reserve(nparts);
+      fill_.reserve(nranks);
     }
     if (final_.capacity() < send_cap) {
       ++allocs_;
@@ -160,18 +158,22 @@ class ExchangeChannel {
     }
   }
 
-  /// Total capacity growths across both legs since construction.
+  /// Total capacity growths across every pool since construction.
   uint64_t allocs() const {
-    return direct_.allocs() + hop_.allocs() + allocs_;
+    return direct_.allocs() + row_pool_.allocs() + col_pool_.allocs() +
+           allocs_;
   }
 
  private:
   A2aStaging<T> direct_;
-  A2aStaging<Routed<T>> hop_;
-  ExchangePlan plan_;
+  A2aStaging<Routed<T>> row_pool_;  // stage 0, indexed by destination column
+  A2aStaging<Routed<T>> col_pool_;  // stage 1, indexed by destination row
+  Comm* row_ = nullptr;
+  Comm* col_ = nullptr;
+  MeshShape mesh_{};
   int self_ = 0;
-  size_t nparts_ = 0;
-  bool staged_ = false;
+  bool staged_ = false;   // configured: world rounds run both stages
+  bool routing_ = false;  // the open round is a staged world round
   std::vector<T> final_;              // unwrapped staged receive buffer
   std::vector<size_t> src_offsets_;   // staged per-source delimiters
   std::vector<size_t> fill_;          // counting-sort cursors

@@ -32,7 +32,7 @@
 /// is what makes the scheme safe on a genuinely asynchronous transport
 /// where receipt lags sending (tests/test_async.cpp races a delayed-delivery
 /// channel against the probe).  An engine whose channel *folds* messages in
-/// flight (ExchangeMergePolicy under a staged ExchangePlan: k same-target
+/// flight (ExchangeMergePolicy under the staged TwoDCA plan: k same-target
 /// messages arrive as one representative) must turn strict credits off,
 /// because delivered counts legitimately undershoot sent counts.  That stays
 /// safe here because every exchange completes inside the collective call —
@@ -81,10 +81,6 @@ class TerminationDetector {
     have_prev_ = true;
     return settled && unchanged;
   }
-
-  /// Forget the previous wave (anything that re-injects work — e.g. a
-  /// rollback replay — must restart the two-wave handshake).
-  void reset_waves() { have_prev_ = false; }
 
   /// Rollback support: the engines checkpoint the detector with the rest of
   /// their state so replayed messages are re-counted consistently.

@@ -69,15 +69,6 @@ class BitVector {
     w.fetch_or(uint64_t(1) << (i & 63), std::memory_order_relaxed);
   }
 
-  /// Atomically set bit i; returns true if this call changed it from 0 to 1.
-  bool atomic_test_and_set(size_t i) {
-    SUNBFS_ASSERT(i < nbits_);
-    uint64_t mask = uint64_t(1) << (i & 63);
-    std::atomic_ref<uint64_t> w(words_[i >> 6]);
-    uint64_t prev = w.fetch_or(mask, std::memory_order_relaxed);
-    return (prev & mask) == 0;
-  }
-
   /// Zero all bits without changing the size.
   void reset() { std::fill(words_.begin(), words_.end(), 0); }
 

@@ -3,10 +3,11 @@
 // and the recovery machinery must see through every staged hop.  Five
 // layers:
 //
-//   1. ExchangePlan unit tests: hop() composed over every stage delivers
-//      every (holder, dst) pair for every backend, mesh shape and
-//      communicator size, stage counts match the construction, and the
-//      degenerate shapes collapse to direct.
+//   1. ExchangeChannel routing: a 2D-CA world round delivers every
+//      (source, destination, payload) exactly once with the direct round's
+//      per-source delimiters on every mesh shape (flat meshes degenerate to
+//      direct), and its two stages are charged as alltoallvs over the row
+//      and column groups.
 //   2. Backend bit-identity: each engine (1D, 1.5D — including an all-L
 //      partition whose every push is the L2L route — MS-BFS, and SSSP and
 //      CC on the propagation engine) run under 2D-CA — across encoding
@@ -29,19 +30,21 @@
 #include <limits>
 #include <span>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "analytics/propagate.hpp"
 #include "analytics/sssp.hpp"
 #include "bfs/bfs15d.hpp"
 #include "bfs/bfs1d.hpp"
+#include "bfs/messages.hpp"
 #include "bfs/runner.hpp"
 #include "graph/rmat.hpp"
 #include "graph/validate.hpp"
 #include "partition/part15d.hpp"
 #include "partition/part1d.hpp"
 #include "service/msbfs.hpp"
-#include "sim/exchange.hpp"
+#include "sim/exchange_channel.hpp"
 #include "sim/fault.hpp"
 #include "sim/runtime.hpp"
 #include "support/random.hpp"
@@ -63,78 +66,97 @@ Vertex pick_root(const Graph500Config& cfg) {
   return graph::generate_rmat_range(cfg, 0, 1)[0].u;
 }
 
-// ------------------------------------------------ plan routing unit tests
+// --------------------------------------------- channel routing unit tests
 
-// Composing hop() over every stage must land every message on its
-// destination, for every backend over representative meshes — including a
-// communicator smaller than the mesh (sub-communicator exchanges always
-// run nparts < ranks, where 2D-CA degenerates to direct).
-TEST(ExchangePlan, HopCompositionDeliversEveryPair) {
-  const sim::MeshShape meshes[] = {{1, 1}, {1, 4}, {4, 1}, {2, 2},
-                                   {2, 3}, {3, 2}, {2, 4}, {4, 4},
-                                   {3, 3}, {4, 2}, {3, 4}, {4, 3}};
-  const sim::ExchangeBackend backends[] = {sim::ExchangeBackend::Direct,
-                                           sim::ExchangeBackend::TwoDCA};
-  for (const auto mesh : meshes) {
-    for (const auto backend : backends) {
-      for (int nparts : {mesh.ranks(), std::max(1, mesh.ranks() - 1)}) {
-        const auto plan = sim::ExchangePlan::build(backend, nparts, mesh);
-        for (int dst = 0; dst < nparts; ++dst) {
-          for (int holder = 0; holder < nparts; ++holder) {
-            int h = holder;
-            for (int s = 0; s < plan.stages(); ++s) h = plan.hop(s, h, dst);
-            if (plan.stages() > 0) {
-              ASSERT_EQ(h, dst)
-                  << sim::exchange_backend_name(backend) << " on "
-                  << mesh.rows << "x" << mesh.cols << " nparts " << nparts
-                  << ": holder " << holder << " never reached " << dst;
-            }
-          }
-        }
-      }
+struct RoundResult {
+  std::vector<std::tuple<size_t, Vertex, Vertex>> got;  // (src, key, parent)
+  std::vector<size_t> src_offsets;
+};
+
+constexpr uint64_t kPerPair = 3;
+
+Vertex round_key(int src, int dst, int nranks, uint64_t i) {
+  return (Vertex(src) * Vertex(nranks) + Vertex(dst)) * kPerPair + i;
+}
+
+// One world round of a fresh channel in which every rank sends kPerPair
+// VisitMsgs to every rank (itself included).  Keys are unique per
+// (source, destination, i), so no in-flight merge can fold two of them and
+// every message must arrive exactly once.  Returns this rank's received
+// triples, sorted, and the round's src_offsets().
+RoundResult run_round(sim::RankContext& ctx, sim::ExchangeBackend backend,
+                      bool encoding, ThreadPool& pool) {
+  sim::ExchangeChannel<bfs::VisitMsg> channel;
+  channel.configure(ctx, {.backend = backend, .encoding = encoding});
+  const int p = ctx.nranks();
+  channel.begin_world(pool.size());
+  for (int d = 0; d < p; ++d)
+    for (uint64_t i = 0; i < kPerPair; ++i)
+      channel.push(size_t(d) % pool.size(), size_t(d),
+                   bfs::VisitMsg{round_key(ctx.rank, d, p, i),
+                                 Vertex(ctx.rank)});
+  RoundResult r;
+  std::span<const bfs::VisitMsg> got = channel.exchange(ctx.world, pool);
+  r.src_offsets = channel.src_offsets();
+  for (size_t s = 0; s + 1 < r.src_offsets.size(); ++s)
+    for (size_t i = r.src_offsets[s]; i < r.src_offsets[s + 1]; ++i)
+      r.got.emplace_back(s, got[i].dst, got[i].parent);
+  std::sort(r.got.begin(), r.got.end());
+  return r;
+}
+
+// Every (source, destination, payload) arrives exactly once, attributed to
+// its source, and src_offsets() equals a direct round's — on flat meshes
+// (where 2D-CA degenerates to direct) and on split ones, square or not.
+TEST(ExchangeChannel, StagedRoundDeliversEveryMessageOnce) {
+  const sim::MeshShape meshes[] = {{1, 4}, {4, 1}, {2, 2}, {2, 3}, {4, 4}};
+  for (const sim::MeshShape mesh : meshes) {
+    for (bool encoding : {true, false}) {
+      SCOPED_TRACE(std::to_string(mesh.rows) + "x" +
+                   std::to_string(mesh.cols) + ", encoding " +
+                   (encoding ? "on" : "off"));
+      sim::run_spmd(mesh, [&](sim::RankContext& ctx) {
+        ThreadPool pool(2);
+        const RoundResult direct =
+            run_round(ctx, sim::ExchangeBackend::Direct, encoding, pool);
+        const RoundResult staged =
+            run_round(ctx, sim::ExchangeBackend::TwoDCA, encoding, pool);
+        const int p = ctx.nranks();
+        std::vector<std::tuple<size_t, Vertex, Vertex>> want;
+        for (int s = 0; s < p; ++s)
+          for (uint64_t i = 0; i < kPerPair; ++i)
+            want.emplace_back(size_t(s), round_key(s, ctx.rank, p, i),
+                              Vertex(s));
+        EXPECT_EQ(direct.got, want);
+        EXPECT_EQ(staged.got, want);
+        EXPECT_EQ(staged.src_offsets, direct.src_offsets);
+      });
     }
   }
 }
 
-TEST(ExchangePlan, StageCountsMatchConstruction) {
-  const sim::MeshShape m44{4, 4};
-  // Direct and single-rank plans are always flat.
-  EXPECT_EQ(sim::ExchangePlan::build(sim::ExchangeBackend::Direct, 16, m44)
-                .stages(),
-            0);
-  EXPECT_EQ(sim::ExchangePlan::build(sim::ExchangeBackend::TwoDCA, 1,
-                                     sim::MeshShape{1, 1})
-                .stages(),
-            0);
-  // 2D-CA: row split + column delivery when there is something to split...
-  EXPECT_EQ(sim::ExchangePlan::build(sim::ExchangeBackend::TwoDCA, 16, m44)
-                .stages(),
-            2);
-  // ...and degenerate on flat meshes or sub-communicators.
-  EXPECT_EQ(sim::ExchangePlan::build(sim::ExchangeBackend::TwoDCA, 4,
-                                     sim::MeshShape{1, 4})
-                .stages(),
-            0);
-  EXPECT_EQ(sim::ExchangePlan::build(sim::ExchangeBackend::TwoDCA, 8, m44)
-                .stages(),
-            0);
-}
-
-// 2D-CA routes every message through exactly one rank: the row-mate in the
-// destination's column.  At most one hop is inter-supernode.
-TEST(ExchangePlan, TwoDCARoutesThroughTheRowMate) {
-  const sim::MeshShape mesh{2, 4};
-  const auto plan = sim::ExchangePlan::build(sim::ExchangeBackend::TwoDCA,
-                                             mesh.ranks(), mesh);
-  ASSERT_EQ(plan.stages(), 2);
-  for (int dst = 0; dst < mesh.ranks(); ++dst) {
-    for (int holder = 0; holder < mesh.ranks(); ++holder) {
-      const int mid = plan.hop(0, holder, dst);
-      EXPECT_EQ(mesh.row_of(mid), mesh.row_of(holder));
-      EXPECT_EQ(mesh.col_of(mid), mesh.col_of(dst));
-      EXPECT_EQ(plan.hop(1, mid, dst), dst);
-    }
-  }
+// On a 4x4 mesh a staged round is two alltoallvs: stage 0 over the 4-member
+// row group (every byte stays inside the supernode), stage 1 over the
+// 4-member column group (every byte crosses one).  Each is charged one
+// Topology::transfer_time over 4 participants — not over the 16-rank world.
+TEST(ExchangeChannel, StagedRoundChargesRowAndColumnGroups) {
+  const sim::MeshShape mesh{4, 4};
+  const sim::Topology topo(mesh);
+  sim::run_spmd(topo, [&](sim::RankContext& ctx) {
+    ThreadPool pool(1);
+    run_round(ctx, sim::ExchangeBackend::TwoDCA, /*encoding=*/false, pool);
+    const sim::CollectiveEntry& a2a =
+        ctx.stats.entry(sim::CollectiveType::Alltoallv);
+    EXPECT_EQ(a2a.calls, 2u);
+    // Stage 0: kPerPair envelopes for each of a column's 4 ranks go to each
+    // of 3 row-mates.  Stage 1: the 4 row members' envelopes for each of 3
+    // column-mates leave the supernode.
+    const uint64_t block = 4 * kPerPair * sizeof(sim::Routed<bfs::VisitMsg>);
+    EXPECT_EQ(a2a.bytes_sent, 2 * 3 * block);
+    EXPECT_EQ(a2a.bytes_inter_supernode, 3 * block);
+    EXPECT_DOUBLE_EQ(a2a.modeled_s, topo.transfer_time(4, 3 * block, 0) +
+                                        topo.transfer_time(4, 0, 3 * block));
+  });
 }
 
 // ------------------------------------------- engine backend bit-identity
