@@ -142,12 +142,16 @@ int main(int argc, char** argv) {
               (unsigned long long)cfg.graph.num_edges(), topo.mesh().ranks(),
               cfg.num_roots);
 
+  // Every block after the sweep (per-key table, Graph 500 summary, bench
+  // summary, encoding ablation, metrics report) describes the best
+  // wall-clock point, the one BENCH_headline.json records.
   std::vector<SweepPoint> sweep;
-  bfs::RunnerResult result;  // last (highest-tpr) full result for the report
+  size_t best_index = 0;
+  bfs::RunnerResult best_result;
   for (int tpr : sweep_list()) {
     cfg.bfs.threads_per_rank = tpr;
     cfg.bfs1d.threads_per_rank = tpr;
-    result = bfs::run_graph500(topo, cfg);
+    bfs::RunnerResult result = bfs::run_graph500(topo, cfg);
     SweepPoint p;
     p.threads_per_rank = tpr;
     for (const auto& r : result.runs) {
@@ -171,7 +175,15 @@ int main(int argc, char** argv) {
     bench::report().gauge(prefix + "gteps", p.gteps);
     bench::report().add_counter(prefix + "staging_allocs_steady",
                                 result.staging_allocs_steady);
+    if (sweep.size() == 1 || p.wall_s < sweep[best_index].wall_s) {
+      best_index = sweep.size() - 1;
+      best_result = std::move(result);
+    }
   }
+  const SweepPoint& best = sweep[best_index];
+  const bfs::RunnerResult& result = best_result;
+  cfg.bfs.threads_per_rank = best.threads_per_rank;
+  cfg.bfs1d.threads_per_rank = best.threads_per_rank;
 
   std::printf("\n%6s %14s %14s %12s %8s\n", "key", "root", "trav. edges",
               "modeled s", "valid");
@@ -181,8 +193,7 @@ int main(int argc, char** argv) {
                 (unsigned long long)r.traversed_edges, r.modeled_s,
                 r.valid ? "yes" : r.error.c_str());
   }
-  // Graph 500 output-format-style summary block (from the last sweep run;
-  // the modeled clock is thread-count independent).
+  // Graph 500 output-format-style summary block.
   {
     std::vector<double> times;
     for (const auto& r : result.runs) times.push_back(r.modeled_s);
@@ -216,11 +227,6 @@ int main(int argc, char** argv) {
   std::printf("all runs validated: %s\n", result.all_valid ? "YES" : "NO");
 
   // Regression-tracking summary: best wall-clock point of the sweep.
-  const SweepPoint& best = *std::min_element(
-      sweep.begin(), sweep.end(),
-      [](const SweepPoint& a, const SweepPoint& b) {
-        return a.wall_s < b.wall_s;
-      });
   const char* bench_out = std::getenv("SUNBFS_BENCH_OUT");
   if (!bench_out) bench_out = "BENCH_headline.json";
   if (write_bench_json(bench_out, cfg.graph.scale, topo.mesh().ranks(), best,

@@ -112,7 +112,7 @@ KernelReport Chip::run(const Kernel& kernel, int n_cgs) {
   std::vector<std::unique_ptr<detail::CgRunState>> cg_states;
   for (int g = 0; g < n_cgs; ++g)
     cg_states.push_back(
-        std::make_unique<detail::CgRunState>(geo_.cpes_per_cg));
+        std::make_unique<detail::CgRunState>(geo_.cpes_per_cg, ncpes));
   detail::ChipRunState chip_state(ncpes);
 
   std::vector<CpeContext> contexts;

@@ -56,8 +56,10 @@ struct KernelReport {
 namespace detail {
 /// Shared state for one core group during a run (cycle-synced barrier).
 struct CgRunState {
-  explicit CgRunState(int participants)
-      : barrier(participants), barrier2(participants), barrier3(participants) {}
+  CgRunState(int participants, int run_threads)
+      : barrier(participants, run_threads),
+        barrier2(participants, run_threads),
+        barrier3(participants, run_threads) {}
   sim::Barrier barrier, barrier2, barrier3;
   std::mutex mu;
   double max_cycles = 0;
@@ -65,7 +67,9 @@ struct CgRunState {
 /// Shared state across all participating CGs.
 struct ChipRunState {
   explicit ChipRunState(int participants)
-      : barrier(participants), barrier2(participants), barrier3(participants) {}
+      : barrier(participants, participants),
+        barrier2(participants, participants),
+        barrier3(participants, participants) {}
   sim::Barrier barrier, barrier2, barrier3;
   std::mutex mu;
   double max_cycles = 0;

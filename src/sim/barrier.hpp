@@ -1,7 +1,8 @@
 #pragma once
 
-#include <condition_variable>
-#include <mutex>
+#include <atomic>
+#include <chrono>
+#include <cstdint>
 #include <stdexcept>
 
 /// Abortable rendezvous barrier for the SPMD runtime.
@@ -16,9 +17,34 @@ class AbortError : public std::runtime_error {
 
 /// Sense-reversing barrier over a fixed number of participants, with an
 /// abort channel so a failing rank never deadlocks its peers.
+///
+///  * **Memory ordering.**  Everything a participant wrote before wait()
+///    happens-before everything any participant does after its wait()
+///    returns: arrivals are acq_rel increments of one counter, the last
+///    arrival publishes the next generation with a release store to the
+///    phase word, and waiters read it with acquire.
+///  * **Spin rule.**  A waiter first spins on the phase word (`pause`, with
+///    a `yield` every few hundred spins) for at most kSpinTime, then sleeps
+///    in std::atomic::wait (a futex).  It spins only when every thread of
+///    the run the group belongs to fits the CPUs the process may run on
+///    (sched_getaffinity at construction), so a waiter never burns the core
+///    a late peer, or another group's thread, needs; the last arrival's
+///    notify_all costs no syscall when nobody sleeps.  A group of one never
+///    blocks.
+///  * **Abort.**  abort() sets the abort bit of the phase word and wakes
+///    every sleeper.  Each waiter whose generation has not completed throws
+///    AbortError, as does every later wait(); a waiter whose generation
+///    completed before the abort returns normally and throws at its next
+///    wait.
 class Barrier {
  public:
-  explicit Barrier(int participants);
+  /// Longest a waiter spins before it sleeps on the futex.
+  static constexpr std::chrono::microseconds kSpinTime{50};
+
+  /// `participants` threads rendezvous here; `run_threads` (at least
+  /// `participants`) is how many threads of the run, this group's and
+  /// other groups', compete for the CPUs.
+  Barrier(int participants, int run_threads);
 
   /// Block until all participants arrive.  Throws AbortError if abort() was
   /// or is called while waiting.
@@ -28,12 +54,15 @@ class Barrier {
   void abort();
 
  private:
-  std::mutex mu_;
-  std::condition_variable cv_;
+  /// Low bit of phase_; the generation counts up in steps of two above it.
+  static constexpr uint32_t kAborted = 1;
+
+  // Arrivals and waiters touch separate cache lines, so spinning waiters
+  // are not invalidated by every arrival.
+  alignas(64) std::atomic<int> arrived_{0};
+  alignas(64) std::atomic<uint32_t> phase_{0};
   int participants_;
-  int waiting_ = 0;
-  uint64_t phase_ = 0;
-  bool aborted_ = false;
+  bool spin_;
 };
 
 }  // namespace sunbfs::sim

@@ -5,7 +5,11 @@ namespace sunbfs::sim {
 CommShared::CommShared(std::vector<int> ranks, const Topology* topo)
     : global_ranks(std::move(ranks)),
       topology(topo),
-      barrier(int(global_ranks.size())),
+      // Every rank thread of the run competes for the CPUs (a null
+      // topology is rejected below).
+      barrier(int(global_ranks.size()),
+              topo ? topo->mesh().ranks() : int(global_ranks.size())),
+      inline_slots(global_ranks.size() * 2),
       ptrs(global_ranks.size(), nullptr),
       nbytes(global_ranks.size(), 0),
       sums(global_ranks.size(), 0),

@@ -27,14 +27,20 @@
 ///    tag matching, so a reordered call pairs with the wrong publication
 ///    slots.  The engines guarantee this by deriving every branch that picks
 ///    a collective from replicated or allreduced state.
-///  * **Payloads** must be trivially copyable; publication passes raw
-///    pointers through shared slots, and receivers memcpy out of them.
-///    Buffers must stay live and unmodified until the collective returns on
-///    every rank (the trailing barrier enforces this).
+///  * **Payloads** must be trivially copyable.  The fixed-size collectives
+///    (allreduce and allgather of one value) copy the value into an inline
+///    slot of the shared state, double-buffered by collective parity like
+///    the CPU arrivals (Comm::arrival_base), and cross the barrier once.
+///    The data collectives (alltoallv, allgatherv, allreduce_inplace,
+///    reduce_scatter_block, broadcast) publish raw pointers and receivers
+///    memcpy out of them, so their buffers must stay live and unmodified
+///    until the closing barrier, which every rank crosses before the
+///    collective returns.
 ///  * **Accounting.**  Every collective records into the rank's CommStats:
 ///    payload bytes (split intra/inter-supernode), modeled network seconds
 ///    from the Topology cost model (identical on every participating rank —
-///    max-semantics), measured wall seconds, and the rank's wait-for-peers
+///    max-semantics), measured wall seconds and the part of them spent
+///    waiting in the barrier, and the rank's wait-for-peers
 ///    imbalance: the thread-CPU arrival spread at the collective (how much
 ///    longer the slowest peer computed since the previous collective).  The
 ///    CPU clock makes that split meaningful even when the host
@@ -57,6 +63,17 @@
 /// and records a pending fault for the engines' checkpoint/rollback loop.
 namespace sunbfs::sim {
 
+/// Publication slot of a fixed-size collective: a copy of the (possibly
+/// fault-corrupted) value, its byte count and the checksum of the original.
+/// One cache line, so a rank writing its slot never shares a line with a
+/// peer's.
+struct alignas(64) InlineSlot {
+  static constexpr size_t kCapacity = 48;
+  unsigned char data[kCapacity];
+  uint64_t nbytes;
+  uint64_t sum;
+};
+
 /// Shared state backing one communicator group; owned by the runtime.
 struct CommShared {
   CommShared(std::vector<int> ranks, const Topology* topo);
@@ -64,8 +81,11 @@ struct CommShared {
   std::vector<int> global_ranks;  // participant global ranks, by index
   const Topology* topology;
   Barrier barrier;
-  // Publication slots, one per participant (pointer + byte count + checksum
-  // of the original payload).
+  // Inline slots of allreduce/allgather, one per participant,
+  // double-buffered by collective parity (see Comm::arrival_base).
+  std::vector<InlineSlot> inline_slots;
+  // Publication slots of the data collectives, one per participant
+  // (pointer + byte count + checksum of the original payload).
   std::vector<const void*> ptrs;
   std::vector<uint64_t> nbytes;
   std::vector<uint64_t> sums;
@@ -101,7 +121,7 @@ class Comm {
     WallTimer t;
     begin_collective(CollectiveType::Barrier);
     double cpu = deposit_cpu_arrival();
-    shared_->barrier.wait();
+    cross();
     record(CollectiveType::Barrier, 0, 0,
            topo().transfer_time(size(), 0, 0), t.seconds(), cpu);
   }
@@ -110,31 +130,23 @@ class Comm {
   /// every rank receives the result.
   template <typename T, typename Op>
   T allreduce(const T& value, Op op) {
-    static_assert(std::is_trivially_copyable_v<T>);
     WallTimer t;
     uint64_t call = begin_collective(CollectiveType::Allreduce);
     double cpu = deposit_cpu_arrival();
-    publish_checked(CollectiveType::Allreduce, call, &value, sizeof(T));
-    shared_->barrier.wait();
-    ReadPhase read_phase(shared_->barrier);
+    publish_inline(CollectiveType::Allreduce, call, value);
+    cross();
     // Fold the verified contributions; every rank reads the same shared
     // slots and checksums, so dropped sources are dropped identically
     // everywhere and replicated decisions stay replicated.
     T acc = value;
     bool seeded = false;
     for (int j = 0; j < size(); ++j) {
-      if (!verify_source(CollectiveType::Allreduce, j, shared_->ptrs[j],
-                         shared_->nbytes[j], shared_->sums[j]))
-        continue;
-      check_source_size(CollectiveType::Allreduce, j, shared_->nbytes[j],
-                        sizeof(T));
       T v;
-      std::memcpy(&v, shared_->ptrs[j], sizeof(T));
+      if (!read_inline(CollectiveType::Allreduce, j, v)) continue;
       acc = seeded ? op(acc, v) : v;
       seeded = true;
     }
     auto [intra, inter] = symmetric_bytes(sizeof(T));
-    read_phase.end();
     record(CollectiveType::Allreduce, sizeof(T), inter,
            topo().transfer_time(size(), intra, inter), t.seconds(), cpu);
     return acc;
@@ -161,24 +173,15 @@ class Comm {
   /// Dropped (corrupted) contributions come back value-initialized.
   template <typename T>
   std::vector<T> allgather(const T& value) {
-    static_assert(std::is_trivially_copyable_v<T>);
     WallTimer t;
     uint64_t call = begin_collective(CollectiveType::Allgather);
     double cpu = deposit_cpu_arrival();
-    publish_checked(CollectiveType::Allgather, call, &value, sizeof(T));
-    shared_->barrier.wait();
-    ReadPhase read_phase(shared_->barrier);
+    publish_inline(CollectiveType::Allgather, call, value);
+    cross();
     std::vector<T> out(size());
-    for (int j = 0; j < size(); ++j) {
-      if (!verify_source(CollectiveType::Allgather, j, shared_->ptrs[j],
-                         shared_->nbytes[j], shared_->sums[j]))
-        continue;
-      check_source_size(CollectiveType::Allgather, j, shared_->nbytes[j],
-                        sizeof(T));
-      std::memcpy(&out[j], shared_->ptrs[j], sizeof(T));
-    }
+    for (int j = 0; j < size(); ++j)
+      read_inline(CollectiveType::Allgather, j, out[size_t(j)]);
     auto [intra, inter] = symmetric_bytes(sizeof(T));
-    read_phase.end();
     record(CollectiveType::Allgather, sizeof(T), inter,
            topo().transfer_time(size(), intra, inter), t.seconds(), cpu);
     return out;
@@ -210,8 +213,8 @@ class Comm {
     double cpu = deposit_cpu_arrival();
     publish_checked(CollectiveType::Allgather, call, mine.data(),
                     mine.size_bytes());
-    shared_->barrier.wait();
-    ReadPhase read_phase(shared_->barrier);
+    cross();
+    ReadPhase read_phase(*this);
     // Effective per-source sizes: published sizes minus dropped corruptions.
     // Never trust a sender-published byte count blindly — a count that is not
     // a multiple of the element size would silently truncate and shift every
@@ -261,8 +264,8 @@ class Comm {
     double cpu = deposit_cpu_arrival();
     publish_checked(CollectiveType::ReduceScatter, call, contrib.data(),
                     contrib.size_bytes());
-    shared_->barrier.wait();
-    ReadPhase read_phase(shared_->barrier);
+    cross();
+    ReadPhase read_phase(*this);
     // Seed from the caller's own (uncorrupted) contribution so a dropped
     // source never leaves the result unseeded.
     auto own = contrib.subspan(size_t(index_) * block, block);
@@ -298,8 +301,8 @@ class Comm {
     publish_checked(CollectiveType::Allreduce, call, data.data(),
                     data.size_bytes());
     if (index_ == 0) shared_->scratch.resize(data.size_bytes());
-    shared_->barrier.wait();
-    ReadPhase read_phase(shared_->barrier);
+    cross();
+    ReadPhase read_phase(*this);
     // Verify every contribution once; all ranks read the same shared
     // checksums, so the set of honest sources is identical everywhere.
     const bool sums = checksums_on();
@@ -335,7 +338,7 @@ class Comm {
     read_phase.end();
     std::copy_n(scratch, data.size(), data.data());
     auto [intra, inter] = symmetric_bytes(data.size_bytes());
-    shared_->barrier.wait();
+    cross();
     record(CollectiveType::Allreduce, data.size_bytes(), inter,
            topo().transfer_time(size(), intra, inter), t.seconds(), cpu);
   }
@@ -409,8 +412,8 @@ class Comm {
     double cpu = deposit_cpu_arrival();
     publish_checked(CollectiveType::Broadcast, call, data.data(),
                     data.size_bytes());
-    shared_->barrier.wait();
-    ReadPhase read_phase(shared_->barrier);
+    cross();
+    ReadPhase read_phase(*this);
     if (verify_source(CollectiveType::Broadcast, root, shared_->ptrs[root],
                       shared_->nbytes[root], shared_->sums[root])) {
       check_source_size(CollectiveType::Broadcast, root,
@@ -439,19 +442,19 @@ class Comm {
   }
 
  private:
-  /// A collective's read phase: from its first barrier to the next, ranks
-  /// read each other's published buffers.  A rank whose read throws (a
-  /// detected fault, a size check) still waits at the next barrier before
+  /// A data collective's read phase: from its first barrier to the next,
+  /// ranks read each other's published buffers.  A rank whose read throws
+  /// (a detected fault, a size check) still waits at the next barrier before
   /// unwinding, so no peer reads a buffer its owner has already freed.
   class ReadPhase {
    public:
-    explicit ReadPhase(Barrier& barrier) : barrier_(barrier) {}
+    explicit ReadPhase(Comm& comm) : comm_(comm) {}
     ReadPhase(const ReadPhase&) = delete;
     ReadPhase& operator=(const ReadPhase&) = delete;
     ~ReadPhase() {
       if (ended_) return;
       try {
-        barrier_.wait();
+        comm_.cross();
       } catch (const AbortError&) {
         // The run is already aborting; the peers have stopped reading.
       }
@@ -459,13 +462,20 @@ class Comm {
     /// The barrier that ends the read phase.
     void end() {
       ended_ = true;
-      barrier_.wait();
+      comm_.cross();
     }
 
    private:
-    Barrier& barrier_;
+    Comm& comm_;
     bool ended_ = false;
   };
+
+  /// Cross the communicator's barrier, timing the wait into wait_s_.
+  void cross() {
+    WallTimer w;
+    shared_->barrier.wait();
+    wait_s_ += w.seconds();
+  }
 
   const Topology& topo() const { return *shared_->topology; }
 
@@ -511,8 +521,8 @@ class Comm {
       shared_->a2a_ptrs[size_t(index_) * p + d] = ptr;
       shared_->a2a_nbytes[size_t(index_) * p + d] = nb;
     }
-    shared_->barrier.wait();
-    ReadPhase read_phase(shared_->barrier);
+    cross();
+    ReadPhase read_phase(*this);
     std::vector<uint64_t>& eff = eff_scratch_;
     eff.assign(static_cast<size_t>(p), 0);
     size_t total_bytes = 0;
@@ -553,6 +563,7 @@ class Comm {
   /// Count this armed collective call, fire any scheduled straggler delay,
   /// and return the call index the fault plan is keyed on.
   uint64_t begin_collective(CollectiveType type) {
+    wait_s_ = 0;
     if (faults_ == nullptr || !faults_->active()) return ~uint64_t(0);
     uint64_t call = faults_->calls[int(type)]++;
     if (const StragglerFault* s =
@@ -610,19 +621,62 @@ class Comm {
               " call ", fault.call_index);
   }
 
-  /// Publish `(ptr, bytes)` with its checksum, applying any payload fault
-  /// scheduled for this call.
-  void publish_checked(CollectiveType type, uint64_t call, const void* ptr,
-                       uint64_t bytes) {
-    if (checksums_on()) shared_->sums[index_] = checksum64(ptr, bytes);
+  /// A payload as published: possibly corrupted by a fault scheduled for
+  /// this call, with the checksum of the original bytes.
+  struct Published {
+    const void* ptr;
+    uint64_t nbytes;
+    uint64_t sum;
+  };
+
+  /// Checksum `(ptr, bytes)` and apply any payload fault scheduled for this
+  /// call.
+  Published prepare_publish(CollectiveType type, uint64_t call,
+                            const void* ptr, uint64_t bytes) {
+    uint64_t sum = checksums_on() ? checksum64(ptr, bytes) : 0;
     if (const PayloadFault* fault = pending_payload(type, call)) {
       if (bytes == 0)
         defer_payload(type, fault);  // nothing to corrupt this call
       else
         corrupt(*fault, ptr, bytes);
     }
-    shared_->ptrs[index_] = ptr;
-    shared_->nbytes[index_] = bytes;
+    return {ptr, bytes, sum};
+  }
+
+  /// Publish a data collective's payload by pointer.
+  void publish_checked(CollectiveType type, uint64_t call, const void* ptr,
+                       uint64_t bytes) {
+    Published p = prepare_publish(type, call, ptr, bytes);
+    shared_->ptrs[index_] = p.ptr;
+    shared_->nbytes[index_] = p.nbytes;
+    shared_->sums[index_] = p.sum;
+  }
+
+  /// Publish a fixed-size collective's value by copy into this rank's
+  /// inline slot of the current parity.
+  template <typename T>
+  void publish_inline(CollectiveType type, uint64_t call, const T& value) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    static_assert(sizeof(T) <= InlineSlot::kCapacity,
+                  "fixed-size collective value exceeds the inline slot");
+    Published p = prepare_publish(type, call, &value, sizeof(T));
+    InlineSlot& slot = shared_->inline_slots[arrival_base() + size_t(index_)];
+    std::memcpy(slot.data, p.ptr, p.nbytes);
+    slot.nbytes = p.nbytes;
+    slot.sum = p.sum;
+  }
+
+  /// Verify participant `src`'s inline slot and copy its value into `out`;
+  /// false (and `out` untouched) when the contribution is dropped.
+  template <typename T>
+  bool read_inline(CollectiveType type, int src, T& out) {
+    const InlineSlot& slot =
+        shared_->inline_slots[arrival_base() + size_t(src)];
+    if (!verify_source(type, src, slot.data, slot.nbytes, slot.sum))
+      return false;
+    check_source_size(type, src, slot.nbytes, sizeof(T));
+    std::memcpy(&out, slot.data, sizeof(T));
+    return true;
   }
 
   /// Verify participant `src`'s published payload against its checksum.
@@ -688,10 +742,11 @@ class Comm {
     return delta;
   }
 
-  /// Base slot of the current collective's arrival buffer.  Double-buffered
-  /// by parity: a rank racing into collective k+1 deposits into the other
-  /// half, and it cannot reach k+2 (which overwrites half k) before every
-  /// peer passed a barrier of k+1 — i.e. after they finished reading half k.
+  /// Base slot of the current collective's arrival and inline buffers.
+  /// Double-buffered by parity: a rank racing into collective k+1 writes
+  /// the other half, and it cannot reach k+2 (which overwrites half k)
+  /// before every peer arrived at the first barrier of k+1 — i.e. after
+  /// they finished reading half k.
   size_t arrival_base() const {
     return size_t(collective_seq_ & 1) * size_t(size());
   }
@@ -708,7 +763,8 @@ class Comm {
     last_cpu_ = ThreadCpuTimer::now();
     ++collective_seq_;
     if (stats_)
-      stats_->record(type, bytes_sent, inter, modeled_s, wall_s, imbalance_s);
+      stats_->record(type, bytes_sent, inter, modeled_s, wall_s, imbalance_s,
+                     wait_s_);
     // One span per collective on both clocks; advances this rank's modeled
     // clock so BFS/chip spans recorded later line up after it.
     obs::complete_span("comm", collective_type_name(type),
@@ -780,6 +836,7 @@ class Comm {
   double last_cpu_ = -1;           ///< thread-CPU reading at last record()
   double straggle_pending_s_ = 0;  ///< injected delay folded into next deposit
   uint64_t collective_seq_ = 0;    ///< parity for the arrival double-buffer
+  double wait_s_ = 0;  ///< barrier wait of the current collective
   CommStats* stats_ = nullptr;
   FaultState* faults_ = nullptr;
   /// Scratch holding the corrupted copy of a published payload until the

@@ -45,13 +45,14 @@ int64_t CommStats::encoding_saved_bytes() const {
 
 void CommStats::record(CollectiveType type, uint64_t bytes_sent,
                        uint64_t bytes_inter_supernode, double modeled_s,
-                       double wall_s, double imbalance_s) {
+                       double wall_s, double imbalance_s, double wait_s) {
   auto& e = entries_[int(type)];
   e.calls += 1;
   e.bytes_sent += bytes_sent;
   e.bytes_inter_supernode += bytes_inter_supernode;
   e.modeled_s += modeled_s;
   e.wall_s += wall_s;
+  e.wait_s += wait_s;
   e.imbalance_s += imbalance_s;
 }
 
@@ -92,6 +93,7 @@ void CommStats::merge(const CommStats& other) {
     entries_[i].bytes_inter_supernode += other.entries_[i].bytes_inter_supernode;
     entries_[i].modeled_s += other.entries_[i].modeled_s;
     entries_[i].wall_s += other.entries_[i].wall_s;
+    entries_[i].wait_s += other.entries_[i].wait_s;
     entries_[i].imbalance_s += other.entries_[i].imbalance_s;
   }
   for (int t = 0; t < kCollectiveTypeCount; ++t) {
@@ -150,6 +152,7 @@ void CommStats::to_report(obs::Report& report,
     report.add_counter(p + "bytes_inter_supernode", e.bytes_inter_supernode);
     report.gauge(p + "modeled_s", e.modeled_s);
     report.gauge(p + "wall_s", e.wall_s);
+    report.gauge(p + "wait_s", e.wait_s);
     report.gauge(p + "imbalance_s", e.imbalance_s);
   }
   report.gauge(prefix + "total_modeled_s", total_modeled_s());

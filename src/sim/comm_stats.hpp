@@ -64,6 +64,9 @@ struct CollectiveEntry {
   double modeled_s = 0.0;
   /// Measured wall seconds spent inside the collective on this rank.
   double wall_s = 0.0;
+  /// Part of wall_s spent waiting in the communicator's barrier; the rest
+  /// is publish, copy and verify.
+  double wait_s = 0.0;
   /// Wait-for-peers this rank would incur on a dedicated machine: how much
   /// longer the slowest participant computed (thread-CPU clock, plus any
   /// injected straggler delay) since the previous collective — the
@@ -77,7 +80,7 @@ class CommStats {
  public:
   void record(CollectiveType type, uint64_t bytes_sent,
               uint64_t bytes_inter_supernode, double modeled_s,
-              double wall_s, double imbalance_s);
+              double wall_s, double imbalance_s, double wait_s);
 
   /// Record one payload-checksum verification (ok or mismatched).
   void note_checksum(bool ok) {

@@ -6,7 +6,10 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <span>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "bfs/runner.hpp"
 #include "obs/json.hpp"
@@ -31,8 +34,14 @@ void* operator new(size_t n) {
 void* operator new[](size_t n) { return ::operator new(n); }
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, size_t) noexcept { std::free(p); }
-void operator delete[](void* p, size_t) noexcept { std::free(p); }
+// Out of line, so GCC's -Wmismatched-new-delete does not pair the inlined
+// free() with the operator new call it sees at the allocation site.
+[[gnu::noinline]] void operator delete(void* p, size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, size_t) noexcept {
+  std::free(p);
+}
 
 namespace {
 
@@ -286,6 +295,44 @@ TEST(Metrics, SpmdReportAggregation) {
   // The imbalance split is a portion of wall time, never more than it.
   EXPECT_LE(rep.gauge("comm.total_imbalance_s"),
             rep.gauge("comm.total_wall_s") + 1e-12);
+}
+
+TEST(Metrics, CollectiveWaitIsPartOfWall) {
+  // Every collective type splits its host wall into barrier wait and the
+  // rest; the wait is never more than the wall, per rank and in the report.
+  auto spmd = sim::run_spmd(sim::MeshShape{2, 2}, [](sim::RankContext& ctx) {
+    for (int i = 0; i < 20; ++i) {
+      std::vector<std::vector<uint64_t>> to(size_t(ctx.nranks()), {7});
+      (void)ctx.world.alltoallv(to);
+      (void)ctx.world.allgather(uint64_t(ctx.rank));
+      std::vector<uint64_t> mine(size_t(ctx.rank), 1);
+      (void)ctx.world.allgatherv(std::span<const uint64_t>(mine));
+      std::vector<uint64_t> blocks(size_t(ctx.nranks()), 1);
+      (void)ctx.world.reduce_scatter_block(
+          std::span<const uint64_t>(blocks), 1,
+          [](uint64_t a, uint64_t b) { return a + b; });
+      (void)ctx.world.allreduce_sum(uint64_t(1));
+      std::vector<uint64_t> words(4, uint64_t(1) << ctx.rank);
+      ctx.world.allreduce_inplace(std::span<uint64_t>(words),
+                                  [](uint64_t a, uint64_t b) { return a | b; });
+      ctx.world.broadcast(std::span<uint64_t>(words), 0);
+      ctx.world.barrier();
+    }
+  });
+  obs::Report rep;
+  spmd.to_report(rep);
+  for (int t = 0; t < sim::kCollectiveTypeCount; ++t) {
+    const std::string p = std::string("comm.") +
+                          sim::collective_type_name(sim::CollectiveType(t)) +
+                          ".";
+    ASSERT_GT(rep.counter(p + "calls"), 0u) << p;
+    EXPECT_GE(rep.gauge(p + "wait_s"), 0.0) << p;
+    EXPECT_LE(rep.gauge(p + "wait_s"), rep.gauge(p + "wall_s") + 1e-12) << p;
+    for (const auto& stats : spmd.per_rank) {
+      const auto& e = stats.entry(sim::CollectiveType(t));
+      EXPECT_LE(e.wait_s, e.wall_s + 1e-12) << p;
+    }
+  }
 }
 
 TEST(Metrics, RunnerReportMatchesStdout) {

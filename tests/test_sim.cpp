@@ -2,8 +2,12 @@
 // collective, including sub-communicators, statistics and abort semantics.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <numeric>
 #include <set>
+#include <string>
+#include <thread>
 
 #include "sim/runtime.hpp"
 #include "support/check.hpp"
@@ -212,8 +216,8 @@ TEST(Stats, BytesAndModeledTimeRecorded) {
 
 TEST(Stats, MergeAndReset) {
   CommStats a, b;
-  a.record(CollectiveType::Allgather, 100, 40, 0.5, 0.6, 0.05);
-  b.record(CollectiveType::Allgather, 50, 0, 0.1, 0.2, 0.01);
+  a.record(CollectiveType::Allgather, 100, 40, 0.5, 0.6, 0.05, 0.3);
+  b.record(CollectiveType::Allgather, 50, 0, 0.1, 0.2, 0.01, 0.1);
   a.merge(b);
   EXPECT_EQ(a.entry(CollectiveType::Allgather).bytes_sent, 150u);
   EXPECT_EQ(a.entry(CollectiveType::Allgather).calls, 2u);
@@ -282,6 +286,124 @@ TEST(Barrier, ManyIterationsStayInSync) {
       ctx.world.barrier();
     }
   });
+}
+
+TEST(Barrier, AbortWakesSpinningAndSleepingWaiters) {
+  // The main thread aborts right after the waiter enters wait() (it is
+  // still spinning when the group fits the CPUs) and after a sleep far past
+  // Barrier::kSpinTime (it is asleep on the futex); either way the waiter
+  // throws, and so does every later wait.
+  for (auto delay : {std::chrono::milliseconds(0),
+                     std::chrono::milliseconds(20)}) {
+    Barrier barrier(2, 2);
+    std::atomic<bool> entered{false};
+    std::atomic<bool> threw{false};
+    std::thread waiter([&] {
+      entered.store(true);
+      try {
+        barrier.wait();
+      } catch (const AbortError&) {
+        threw.store(true);
+      }
+    });
+    while (!entered.load()) std::this_thread::yield();
+    std::this_thread::sleep_for(delay);
+    barrier.abort();
+    waiter.join();
+    EXPECT_TRUE(threw.load()) << "delay " << delay.count() << " ms";
+    EXPECT_THROW(barrier.wait(), AbortError);
+  }
+}
+
+TEST(Barrier, SingleParticipantNeverBlocks) {
+  Barrier barrier(1, 1);
+  for (int i = 0; i < 1000; ++i) barrier.wait();
+  run_spmd(MeshShape{1, 1}, [&](RankContext& ctx) {
+    for (int i = 0; i < 100; ++i) ctx.world.barrier();
+    EXPECT_EQ(ctx.world.allgather(7), std::vector<int>{7});
+  });
+  barrier.abort();
+  EXPECT_THROW(barrier.wait(), AbortError);
+}
+
+TEST(Collectives, MixedStressChecksEveryResult) {
+  // Thousands of back-to-back collectives of four kinds: a rank that
+  // races ahead writes the other parity's inline slots while slow peers
+  // still read theirs, so a stale or overwritten slot shows up as a wrong
+  // sum, gather or message.  Values depend on the iteration, the rank and
+  // the communicator, so no two consecutive calls publish the same bytes.
+  struct Tagged {
+    uint64_t iter;
+    uint32_t rank;
+    uint32_t check;
+  };
+  const int iters = 10000;
+  for (MeshShape mesh : {MeshShape{2, 2}, MeshShape{2, 4}}) {
+    std::atomic<int> failures{0};
+    std::string first_failure;  // written once, read after the join
+    auto fail = [&](const std::string& what) {
+      if (failures.fetch_add(1) == 0) first_failure = what;
+    };
+    run_spmd(mesh, [&](RankContext& ctx) {
+      const uint64_t p = uint64_t(ctx.nranks());
+      std::vector<uint64_t> send, offsets(p + 1), out;
+      std::vector<size_t> src_off;
+      for (int i = 0; i < iters; ++i) {
+        const uint64_t it = uint64_t(i);
+        switch ((it * 2654435761u >> 7) % 5) {
+          case 0: {
+            uint64_t got = ctx.world.allreduce_sum(it * p + uint64_t(ctx.rank));
+            if (got != it * p * p + p * (p - 1) / 2)
+              fail("allreduce_sum at " + std::to_string(i));
+            break;
+          }
+          case 1: {
+            auto got = ctx.world.allgather(
+                Tagged{it, uint32_t(ctx.rank), uint32_t(it ^ ctx.rank)});
+            for (uint32_t r = 0; r < p; ++r)
+              if (got[r].iter != it || got[r].rank != r ||
+                  got[r].check != uint32_t(it ^ r))
+                fail("allgather at " + std::to_string(i));
+            break;
+          }
+          case 2: {
+            // Source s sends (s + d + i) % 3 copies of s * 1000 + d + i to d.
+            send.clear();
+            for (uint64_t d = 0; d < p; ++d) {
+              offsets[d] = send.size();
+              send.insert(send.end(), (uint64_t(ctx.rank) + d + it) % 3,
+                          uint64_t(ctx.rank) * 1000 + d + it);
+            }
+            offsets[p] = send.size();
+            ctx.world.alltoallv_flat(std::span<const uint64_t>(send),
+                                     std::span<const uint64_t>(offsets), out,
+                                     &src_off);
+            for (uint64_t s = 0; s < p; ++s) {
+              uint64_t n = src_off[s + 1] - src_off[s];
+              if (n != (s + uint64_t(ctx.rank) + it) % 3)
+                fail("alltoallv size at " + std::to_string(i));
+              for (size_t k = src_off[s]; k < src_off[s + 1]; ++k)
+                if (out[k] != s * 1000 + uint64_t(ctx.rank) + it)
+                  fail("alltoallv payload at " + std::to_string(i));
+            }
+            break;
+          }
+          case 3: {
+            // The row communicator interleaves with the world one.
+            uint64_t got = ctx.row.allreduce_max(it + uint64_t(ctx.rank));
+            uint64_t want = it + uint64_t(ctx.row_index() * ctx.mesh.cols +
+                                          ctx.mesh.cols - 1);
+            if (got != want) fail("row allreduce_max at " + std::to_string(i));
+            break;
+          }
+          default:
+            ctx.world.barrier();
+        }
+      }
+    });
+    EXPECT_EQ(failures.load(), 0)
+        << mesh.rows << "x" << mesh.cols << ": " << first_failure;
+  }
 }
 
 }  // namespace

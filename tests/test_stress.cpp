@@ -169,7 +169,7 @@ TEST(Reporting, ToStringSmoke) {
   sim::Topology topo(sim::MeshShape{2, 2});
   EXPECT_NE(topo.to_string().find("supernodes"), std::string::npos);
   sim::CommStats stats;
-  stats.record(sim::CollectiveType::Alltoallv, 100, 50, 0.1, 0.2, 0.02);
+  stats.record(sim::CollectiveType::Alltoallv, 100, 50, 0.1, 0.2, 0.02, 0.05);
   EXPECT_NE(stats.to_string().find("alltoallv"), std::string::npos);
   Log2Histogram h;
   h.add(5);
