@@ -1,6 +1,7 @@
 #include "mutate/repair.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 
 #include "support/bitvector.hpp"
@@ -78,9 +79,12 @@ void run_cascade(sim::RankContext& ctx, const partition::VertexSpace& space,
     }
     for (uint32_t lv : st.wave) push_from(lv, push);
     st.wave.clear();
-    if (ctx.world.allreduce_sum(staged) == 0) break;
+    // The staged count rides the round's exchange; a round nobody staged
+    // for delivers nothing and ends the cascade.
+    std::span<const InvMsg> got =
+        ch.exchange(ctx.world, pool, sim::Rider(staged, std::plus<>{}));
+    if (staged == 0) break;
     ++stats.cascade_rounds;
-    std::span<const InvMsg> got = ch.exchange(ctx.world, pool);
     for (const InvMsg& m : got) {
       uint64_t lv = space.to_local(ctx.rank, m.dst);
       if (st.invalid.get(size_t(lv))) continue;
@@ -189,9 +193,10 @@ RepairStats repair_bfs(sim::RankContext& ctx, const partition::Part1d& part,
     echoes.clear();
     st.frontier.clear();
     st.in_frontier.reset();
-    if (ctx.world.allreduce_sum(staged) == 0) break;
+    std::span<const RelaxMsg> got =
+        ch.relax.exchange(ctx.world, pool, sim::Rider(staged, std::plus<>{}));
+    if (staged == 0) break;
     ++stats.repair_rounds;
-    std::span<const RelaxMsg> got = ch.relax.exchange(ctx.world, pool);
     for (const RelaxMsg& m : got) {
       uint64_t lv = space.to_local(ctx.rank, m.dst);
       int64_t dv = depth[lv] < 0 ? std::numeric_limits<int64_t>::max()

@@ -29,15 +29,45 @@ void store_max(Vertex& slot, Vertex v) {
   }
 }
 
-void atomic_or(uint64_t& slot, uint64_t bits) {
+/// OR `bits` into `slot`, returning its previous value.
+uint64_t atomic_or(uint64_t& slot, uint64_t bits) {
   std::atomic_ref<uint64_t> a(slot);
-  a.fetch_or(bits, std::memory_order_relaxed);
+  return a.fetch_or(bits, std::memory_order_relaxed);
 }
 
 void atomic_add(uint64_t& slot, uint64_t delta) {
   std::atomic_ref<uint64_t> a(slot);
   a.fetch_add(delta, std::memory_order_relaxed);
 }
+
+/// Control words of a level, folded on a push level's exchange (sim::Rider)
+/// or, when an exact count is needed, in one allreduce: the frontier's
+/// (vertex, query) bit count, an upper bound on the next frontier's (claims
+/// before the exchange plus the query bits of every staged message, each of
+/// which claims at most those bits), and the OR of the frontier masks — the
+/// queries that discovered vertices in the previous level.
+struct Counts {
+  uint64_t frontier = 0;
+  uint64_t bound = 0;
+  uint64_t queries = 0;
+};
+
+struct FoldCounts {
+  Counts operator()(const Counts& a, const Counts& b) const {
+    return {a.frontier + b.frontier, a.bound + b.bound, a.queries | b.queries};
+  }
+};
+
+/// Fresh (vertex, query) bits claimed by one worker, merged per level.
+struct Claims {
+  uint64_t bits = 0;
+  uint64_t queries = 0;
+  void add(uint64_t claimed) {
+    if (claimed == 0) return;
+    bits += uint64_t(std::popcount(claimed));
+    queries |= claimed;
+  }
+};
 
 }  // namespace
 
@@ -80,6 +110,16 @@ MsbfsResult msbfs_run(sim::RankContext& ctx, const partition::Part1d& part,
   std::vector<uint64_t> curr(local_count, 0);
   std::vector<uint64_t> next(local_count, 0);
 
+  // This rank's frontier bits and query OR (`curr`'s), and the level's
+  // fresh claims so far (`next`'s): counted as bits are claimed, never by a
+  // popcount scan.
+  Counts curr_local;
+  std::atomic<uint64_t> claim_bits{0}, claim_queries{0};
+  auto merge_claims = [&](const Claims& c) {
+    claim_bits += c.bits;
+    claim_queries |= c.queries;
+  };
+
   for (int q = 0; q < width; ++q) {
     Vertex root = roots[size_t(q)];
     SUNBFS_CHECK(root >= 0 && uint64_t(root) < space.total);
@@ -89,55 +129,74 @@ MsbfsResult msbfs_run(sim::RankContext& ctx, const partition::Part1d& part,
     curr[lloc] |= uint64_t(1) << q;
     parent[size_t(q) * local_count + lloc] = root;
     if (options.record_depths) result.depth[size_t(q) * local_count + lloc] = 0;
+    curr_local.frontier += 1;
+    curr_local.queries |= uint64_t(1) << q;
   }
 
   // Thread-safe visit: `visited` only moves in the serial per-level commit,
   // so the fresh-bit set is stable during a threaded phase; every candidate
   // source for a fresh (vertex, query) pair reaches store_max and the
-  // maximum wins, independent of thread count and message order.
-  auto visit = [&](uint64_t lloc, uint64_t mask, Vertex p) {
+  // maximum wins, independent of thread count and message order.  Returns
+  // the `next` bits this call set first.
+  auto visit = [&](uint64_t lloc, uint64_t mask, Vertex p) -> uint64_t {
     uint64_t fresh = mask & ~visited[lloc];
-    if (fresh == 0) return;
-    atomic_or(next[lloc], fresh);
+    if (fresh == 0) return 0;
+    const uint64_t claimed = fresh & ~atomic_or(next[lloc], fresh);
     while (fresh != 0) {
       int q = std::countr_zero(fresh);
       fresh &= fresh - 1;
       store_max(parent[size_t(q) * local_count + lloc], p);
     }
+    return claimed;
   };
 
+  // Push level: returns the level's Counts, folded over the world on the
+  // visit exchange.
   auto run_push = [&] {
+    Counts counts = curr_local;
     staging.begin_world(pool.size());
+    std::atomic<uint64_t> staged_bits{0};
     size_t parts = pool.size();
     pool.run_chunks(parts, [&](size_t lane) {
       uint64_t lo = local_count * lane / parts;
       uint64_t hi = local_count * (lane + 1) / parts;
-      uint64_t edges = 0;
+      uint64_t edges = 0, staged = 0;
+      Claims claims;
       for (uint64_t lloc = lo; lloc < hi; ++lloc) {
         uint64_t mask = curr[lloc];
         if (mask == 0) continue;
         Vertex gsrc = space.to_global(ctx.rank, lloc);
+        const uint64_t mask_bits = uint64_t(std::popcount(mask));
         for (Vertex v : part.adj.neighbors(lloc)) {
           int owner = space.owner(v);
-          if (owner == ctx.rank)
-            visit(space.to_local(owner, v), mask, gsrc);
-          else
+          if (owner == ctx.rank) {
+            claims.add(visit(space.to_local(owner, v), mask, gsrc));
+          } else {
             staging.push(lane, size_t(owner),
                          MsbfsMsg{uint32_t(space.to_local(owner, v)),
                                   uint32_t(lloc), mask});
+            staged += mask_bits;
+          }
         }
         edges += part.adj.degree(lloc);
       }
       atomic_add(result.work_edges, edges);
+      merge_claims(claims);
+      staged_bits += staged;
     });
-    auto got = staging.exchange(ctx.world, pool);
+    counts.bound = claim_bits + staged_bits;
+    auto got = staging.exchange(ctx.world, pool,
+                                sim::Rider(counts, FoldCounts{}));
     const auto& src_off = staging.src_offsets();
     pool.parallel_for(0, size_t(ctx.nranks()), [&](size_t lo, size_t hi) {
+      Claims claims;
       for (size_t src = lo; src < hi; ++src)
         for (size_t i = src_off[src]; i < src_off[src + 1]; ++i)
-          visit(got[i].dst, got[i].mask,
-                space.to_global(int(src), Vertex(got[i].src)));
+          claims.add(visit(got[i].dst, got[i].mask,
+                           space.to_global(int(src), Vertex(got[i].src))));
+      merge_claims(claims);
     });
+    return counts;
   };
 
   auto run_pull = [&] {
@@ -146,6 +205,7 @@ MsbfsResult msbfs_run(sim::RankContext& ctx, const partition::Part1d& part,
     const std::vector<size_t>& off = ws.frontier().offsets();
     pool.parallel_for(0, size_t(local_count), [&](size_t lo, size_t hi) {
       uint64_t edges = 0;
+      Claims claims;
       for (uint64_t lloc = lo; lloc < hi; ++lloc) {
         uint64_t pending = ~visited[lloc] & width_mask;
         if (pending == 0) continue;
@@ -170,6 +230,7 @@ MsbfsResult msbfs_run(sim::RankContext& ctx, const partition::Part1d& part,
         }
         if (found == 0) continue;
         next[lloc] |= found;  // this thread owns lloc's whole block
+        claims.add(found);    // pending bits: all fresh
         uint64_t bits = found;
         while (bits != 0) {
           int q = std::countr_zero(bits);
@@ -178,8 +239,14 @@ MsbfsResult msbfs_run(sim::RankContext& ctx, const partition::Part1d& part,
         }
       }
       atomic_add(result.work_edges, edges);
+      merge_claims(claims);
     });
   };
+
+  // The bound carried from the previous level (replicated), when it was a
+  // push level that committed since the last rollback.
+  bool have_bound = false;
+  uint64_t bound = 0;
 
   // Checkpoint/rollback recovery (sim/recover.hpp), the bfs1d contract
   // extended to the batch: snapshot {visited, frontier, parents, levels}
@@ -210,6 +277,13 @@ MsbfsResult msbfs_run(sim::RankContext& ctx, const partition::Part1d& part,
                        result.parent.begin());
              result.levels = ckpt.levels;
              result.depth = ckpt.depth;
+             // The replayed level counts exactly: no bound survives.
+             Claims recount;
+             for (uint64_t w : curr) recount.add(w);
+             curr_local = {recount.bits, 0, recount.queries};
+             claim_bits = 0;
+             claim_queries = 0;
+             have_bound = false;
            },
        .crash =
            [&] {
@@ -225,35 +299,37 @@ MsbfsResult msbfs_run(sim::RankContext& ctx, const partition::Part1d& part,
   for (;;) {
     ++iteration;
     if (!recovery.begin(iteration)) continue;
-    uint64_t active = 0;
-    for (uint64_t w : curr) active += uint64_t(std::popcount(w));
-    active = ctx.world.allreduce_sum(active);
-    const bool frontier_empty = active == 0;
-    uint64_t newmask = 0;
-    if (!frontier_empty) {
-      bool bottom_up = double(active) / (double(space.total) * width) >
-                       options.pull_ratio;
-      {
-        obs::Span level_span("service", bottom_up ? "level_pull" : "level_push",
-                             int64_t(active));
-        if (bottom_up)
-          run_pull();
-        else
-          run_push();
-      }
-      // Which queries discovered vertices this level (their depth grew to
-      // `iteration`) — replicated so every rank tracks the same levels.
-      for (uint64_t w : next) newmask |= w;
-      newmask = ctx.world.allreduce(
-          newmask, [](uint64_t a, uint64_t b) { return a | b; });
+    // As in bfs1d: a carried bound at or below the switch threshold proves
+    // push; otherwise count exactly, with one allreduce of the counts.
+    auto above = [&](uint64_t n) {
+      return double(n) / (double(space.total) * width) > options.pull_ratio;
+    };
+    const bool exact = !have_bound || above(bound);
+    Counts counts = curr_local;
+    if (exact) counts = ctx.world.allreduce(counts, FoldCounts{});
+    const uint64_t active = exact ? counts.frontier : bound;
+    const bool bottom_up = exact && above(active);
+    if (active > 0) {
+      obs::Span level_span("service", bottom_up ? "level_pull" : "level_push",
+                           int64_t(active));
+      if (bottom_up)
+        run_pull();
+      else
+        counts = run_push();
     }
     // The pass commits nothing until every rank is known clean, so a
     // rollback discards the level wholesale (including the possibly-poisoned
-    // `active`/newmask words).
+    // counts).
     if (!recovery.commit(iteration)) continue;
-    if (frontier_empty) break;
+    // An empty frontier ends the batch; the level does not count.
+    if (counts.frontier == 0) {
+      --iteration;
+      break;
+    }
+    // The queries that discovered vertices in the previous level (their
+    // depth grew to `iteration - 1`) — replicated by the fold.
     for (int q = 0; q < width; ++q)
-      if (newmask >> q & 1) result.levels[size_t(q)] = iteration;
+      if (counts.queries >> q & 1) result.levels[size_t(q)] = iteration - 1;
     // Depth stamping rides the serial commit: every bit in `next` is fresh
     // (visit/pull only set unvisited bits), so its depth is this level.
     if (options.record_depths)
@@ -268,9 +344,14 @@ MsbfsResult msbfs_run(sim::RankContext& ctx, const partition::Part1d& part,
     for (uint64_t i = 0; i < local_count; ++i) visited[i] |= next[i];
     std::swap(curr, next);
     std::fill(next.begin(), next.end(), uint64_t(0));
+    curr_local = {claim_bits.exchange(0), 0, claim_queries.exchange(0)};
+    have_bound = !bottom_up;
+    bound = counts.bound;
+    // Nothing was claimed or sent: the next frontier is empty everywhere.
+    if (have_bound && bound == 0) break;
     recovery.checkpoint(iteration);
   }
-  result.num_iterations = iteration - 1;
+  result.num_iterations = iteration;
   result.compute_model_s = double(result.work_edges) *
                            options.sim_seconds_per_edge / double(pool.size());
   // The collectives advanced the modeled clock by their network seconds;

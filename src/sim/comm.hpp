@@ -31,6 +31,8 @@
 ///    (allreduce and allgather of one value) copy the value into an inline
 ///    slot of the shared state, double-buffered by collective parity like
 ///    the CPU arrivals (Comm::arrival_base), and cross the barrier once.
+///    alltoallv and allgatherv can carry a Rider, a small folded value
+///    published through the same inline slot next to their payload.
 ///    The data collectives (alltoallv, allgatherv, allreduce_inplace,
 ///    reduce_scatter_block, broadcast) publish raw pointers and receivers
 ///    memcpy out of them, so their buffers must stay live and unmodified
@@ -74,6 +76,46 @@ struct alignas(64) InlineSlot {
   uint64_t sum;
 };
 
+/// A rider: a small value that a data collective (alltoallv, allgatherv)
+/// folds across its participants next to its payload, so a control count
+/// needs no collective of its own (docs/COMM.md "Riders").  It binds a
+/// caller variable: on entry the variable holds this rank's contribution,
+/// on return the fold of every verified contribution in participant order.
+/// The contribution is published in the caller's inline slot and checksummed
+/// like an allreduce value, so a corrupted one is dropped from the fold
+/// identically on every rank (or raises FaultDetected).  `Op` must be
+/// stateless, associative and commutative: a staged exchange folds over the
+/// row communicator and then over the column.
+class Rider {
+ public:
+  Rider() = default;
+  template <typename T, typename Op>
+  Rider(T& value, Op)
+      : value_(&value), nbytes_(sizeof(T)), fold_(&fold_into<T, Op>) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    static_assert(sizeof(T) <= InlineSlot::kCapacity,
+                  "rider exceeds the inline slot");
+    static_assert(std::is_empty_v<Op>, "rider fold must be stateless");
+  }
+
+  explicit operator bool() const { return value_ != nullptr; }
+
+ private:
+  friend class Comm;
+  template <typename T, typename Op>
+  static void fold_into(void* acc, const void* in) {
+    T a, b;
+    std::memcpy(&a, acc, sizeof(T));
+    std::memcpy(&b, in, sizeof(T));
+    a = Op{}(a, b);
+    std::memcpy(acc, &a, sizeof(T));
+  }
+
+  void* value_ = nullptr;
+  uint64_t nbytes_ = 0;
+  void (*fold_)(void* acc, const void* in) = nullptr;
+};
+
 /// Shared state backing one communicator group; owned by the runtime.
 struct CommShared {
   CommShared(std::vector<int> ranks, const Topology* topo);
@@ -81,8 +123,9 @@ struct CommShared {
   std::vector<int> global_ranks;  // participant global ranks, by index
   const Topology* topology;
   Barrier barrier;
-  // Inline slots of allreduce/allgather, one per participant,
-  // double-buffered by collective parity (see Comm::arrival_base).
+  // Inline slots of allreduce/allgather values and of data-collective
+  // riders, one per participant, double-buffered by collective parity (see
+  // Comm::arrival_base).
   std::vector<InlineSlot> inline_slots;
   // Publication slots of the data collectives, one per participant
   // (pointer + byte count + checksum of the original payload).
@@ -202,19 +245,25 @@ class Comm {
   /// Allocation-free allgatherv: writes the concatenation into `out`,
   /// reusing its capacity across calls.  `grow_allocs` (when non-null) is
   /// incremented iff this call had to grow `out` — the steady-state
-  /// allocation proof behind comm.staging_allocs.
+  /// allocation proof behind comm.staging_allocs.  `rider` (optional) is
+  /// folded across the participants alongside.
   template <typename T>
   void allgatherv_into(std::span<const T> mine, std::vector<T>& out,
                        std::vector<size_t>* offsets = nullptr,
-                       uint64_t* grow_allocs = nullptr) {
+                       uint64_t* grow_allocs = nullptr, Rider rider = {}) {
     static_assert(std::is_trivially_copyable_v<T>);
     WallTimer t;
     uint64_t call = begin_collective(CollectiveType::Allgather);
     double cpu = deposit_cpu_arrival();
-    publish_checked(CollectiveType::Allgather, call, mine.data(),
+    const PayloadFault* rider_fault = nullptr;
+    const PayloadFault* fault =
+        split_fault(CollectiveType::Allgather, call, rider, rider_fault);
+    publish_checked(CollectiveType::Allgather, fault, mine.data(),
                     mine.size_bytes());
+    publish_rider(CollectiveType::Allgather, rider_fault, rider);
     cross();
     ReadPhase read_phase(*this);
+    fold_rider(CollectiveType::Allgather, rider);
     // Effective per-source sizes: published sizes minus dropped corruptions.
     // Never trust a sender-published byte count blindly — a count that is not
     // a multiple of the element size would silently truncate and shift every
@@ -247,9 +296,11 @@ class Comm {
     if (offsets) (*offsets)[size()] = pos / sizeof(T);
     // Each rank's NIC receives everyone else's contribution.
     auto [intra, inter] = gatherv_bytes();
+    auto [r_intra, r_inter] = rider_charge(rider);
     read_phase.end();
     record(CollectiveType::Allgather, mine.size_bytes(), inter,
-           topo().transfer_time(size(), intra, inter), t.seconds(), cpu);
+           topo().transfer_time(size(), intra + r_intra, inter + r_inter),
+           t.seconds(), cpu, rider.nbytes_);
   }
 
   /// MPI_Reduce_scatter_block: `contrib` has size() * block elements; rank r
@@ -262,7 +313,9 @@ class Comm {
     WallTimer t;
     uint64_t call = begin_collective(CollectiveType::ReduceScatter);
     double cpu = deposit_cpu_arrival();
-    publish_checked(CollectiveType::ReduceScatter, call, contrib.data(),
+    publish_checked(CollectiveType::ReduceScatter,
+                    pending_payload(CollectiveType::ReduceScatter, call),
+                    contrib.data(),
                     contrib.size_bytes());
     cross();
     ReadPhase read_phase(*this);
@@ -298,8 +351,9 @@ class Comm {
     WallTimer t;
     uint64_t call = begin_collective(CollectiveType::Allreduce);
     double cpu = deposit_cpu_arrival();
-    publish_checked(CollectiveType::Allreduce, call, data.data(),
-                    data.size_bytes());
+    publish_checked(CollectiveType::Allreduce,
+                    pending_payload(CollectiveType::Allreduce, call),
+                    data.data(), data.size_bytes());
     if (index_ == 0) shared_->scratch.resize(data.size_bytes());
     cross();
     ReadPhase read_phase(*this);
@@ -360,19 +414,20 @@ class Comm {
   /// Personalized all-to-all straight from per-destination buffers:
   /// `blocks[d]` (d < size()) is the message for participant d, published
   /// without copying.  The received concatenation is written into `out` as
-  /// in alltoallv_flat, whose fault and accounting behaviour this shares.
+  /// in alltoallv_flat, whose fault, rider and accounting behaviour this
+  /// shares.
   template <typename T>
   void alltoallv_blocks(std::span<const std::vector<T>> blocks,
                         std::vector<T>& out,
                         std::vector<size_t>* src_offsets = nullptr,
-                        uint64_t* grow_allocs = nullptr) {
+                        uint64_t* grow_allocs = nullptr, Rider rider = {}) {
     SUNBFS_CHECK(blocks.size() >= size_t(size()));
     alltoallv_core<T>(
         [&](int d) -> std::pair<const void*, uint64_t> {
           const std::vector<T>& b = blocks[size_t(d)];
           return {b.data(), b.size() * sizeof(T)};
         },
-        out, src_offsets, grow_allocs);
+        out, src_offsets, grow_allocs, rider);
   }
 
   /// Allocation-free personalized all-to-all over a flat, pre-staged send
@@ -382,6 +437,7 @@ class Comm {
   /// concatenation is written into `out`, reusing its capacity across calls;
   /// `grow_allocs` (when non-null) is incremented iff this call had to grow
   /// `out` — the steady-state allocation proof behind comm.staging_allocs.
+  /// `rider` (optional) is folded across the participants alongside.
   /// Fault injection, checksums and byte/imbalance accounting are identical
   /// to the vector-of-vectors overload (both run the same core).
   template <typename T>
@@ -389,7 +445,7 @@ class Comm {
                       std::span<const uint64_t> elem_offsets,
                       std::vector<T>& out,
                       std::vector<size_t>* src_offsets = nullptr,
-                      uint64_t* grow_allocs = nullptr) {
+                      uint64_t* grow_allocs = nullptr, Rider rider = {}) {
     SUNBFS_CHECK(elem_offsets.size() == size_t(size()) + 1);
     SUNBFS_CHECK(elem_offsets[size_t(size())] <= send.size());
     alltoallv_core<T>(
@@ -398,7 +454,7 @@ class Comm {
           uint64_t hi = elem_offsets[size_t(d) + 1];
           return {send.data() + lo, (hi - lo) * sizeof(T)};
         },
-        out, src_offsets, grow_allocs);
+        out, src_offsets, grow_allocs, rider);
   }
 
   /// Broadcast `data` from participant `root` into every rank's buffer.
@@ -410,8 +466,9 @@ class Comm {
     WallTimer t;
     uint64_t call = begin_collective(CollectiveType::Broadcast);
     double cpu = deposit_cpu_arrival();
-    publish_checked(CollectiveType::Broadcast, call, data.data(),
-                    data.size_bytes());
+    publish_checked(CollectiveType::Broadcast,
+                    pending_payload(CollectiveType::Broadcast, call),
+                    data.data(), data.size_bytes());
     cross();
     ReadPhase read_phase(*this);
     if (verify_source(CollectiveType::Broadcast, root, shared_->ptrs[root],
@@ -487,19 +544,20 @@ class Comm {
   /// payload as {pointer, bytes}; the received concatenation lands in `out`
   /// (capacity reused; growth counted into `grow_allocs` when non-null).
   /// This single core carries the fault-injection surface (straggler +
-  /// payload corruption + checksum verification) and the byte/imbalance
-  /// accounting for every staging flavour.
+  /// payload corruption + checksum verification), the rider fold and the
+  /// byte/imbalance accounting for every staging flavour.
   template <typename T, typename PartFn>
   void alltoallv_core(PartFn&& part, std::vector<T>& out,
-                      std::vector<size_t>* src_offsets,
-                      uint64_t* grow_allocs) {
+                      std::vector<size_t>* src_offsets, uint64_t* grow_allocs,
+                      const Rider& rider) {
     static_assert(std::is_trivially_copyable_v<T>);
     WallTimer t;
     uint64_t call = begin_collective(CollectiveType::Alltoallv);
     double cpu = deposit_cpu_arrival();
     int p = size();
-    const PayloadFault* fault = pending_payload(CollectiveType::Alltoallv,
-                                                call);
+    const PayloadFault* rider_fault = nullptr;
+    const PayloadFault* fault =
+        split_fault(CollectiveType::Alltoallv, call, rider, rider_fault);
     int corrupt_dst = -1;
     if (fault) {
       // Corrupt the message to the scheduled peer (or the first non-empty).
@@ -521,8 +579,10 @@ class Comm {
       shared_->a2a_ptrs[size_t(index_) * p + d] = ptr;
       shared_->a2a_nbytes[size_t(index_) * p + d] = nb;
     }
+    publish_rider(CollectiveType::Alltoallv, rider_fault, rider);
     cross();
     ReadPhase read_phase(*this);
+    fold_rider(CollectiveType::Alltoallv, rider);
     std::vector<uint64_t>& eff = eff_scratch_;
     eff.assign(static_cast<size_t>(p), 0);
     size_t total_bytes = 0;
@@ -555,9 +615,11 @@ class Comm {
     }
     if (src_offsets) (*src_offsets)[p] = pos / sizeof(T);
     auto [sent, intra, inter, max_intra, max_inter] = a2a_bytes();
+    auto [r_intra, r_inter] = rider_charge(rider);
     read_phase.end();
     record(CollectiveType::Alltoallv, sent, inter,
-           topo().transfer_time(p, max_intra, max_inter), t.seconds(), cpu);
+           topo().transfer_time(p, max_intra + r_intra, max_inter + r_inter),
+           t.seconds(), cpu, rider.nbytes_);
   }
 
   /// Count this armed collective call, fire any scheduled straggler delay,
@@ -629,12 +691,28 @@ class Comm {
     uint64_t sum;
   };
 
-  /// Checksum `(ptr, bytes)` and apply any payload fault scheduled for this
-  /// call.
-  Published prepare_publish(CollectiveType type, uint64_t call,
+  /// This call's payload fault, except that one aimed at the rider
+  /// (peer == kRiderPeer) goes to `rider_fault` — or, when the call carries
+  /// no rider, stays pending for the next call of `type` that does.
+  const PayloadFault* split_fault(CollectiveType type, uint64_t call,
+                                  const Rider& rider,
+                                  const PayloadFault*& rider_fault) {
+    rider_fault = nullptr;
+    const PayloadFault* fault = pending_payload(type, call);
+    if (fault == nullptr || fault->peer != kRiderPeer) return fault;
+    if (rider)
+      rider_fault = fault;
+    else
+      defer_payload(type, fault);
+    return nullptr;
+  }
+
+  /// Checksum `(ptr, bytes)` and apply `fault` (when non-null) to the copy
+  /// about to be published.
+  Published prepare_publish(CollectiveType type, const PayloadFault* fault,
                             const void* ptr, uint64_t bytes) {
     uint64_t sum = checksums_on() ? checksum64(ptr, bytes) : 0;
-    if (const PayloadFault* fault = pending_payload(type, call)) {
+    if (fault) {
       if (bytes == 0)
         defer_payload(type, fault);  // nothing to corrupt this call
       else
@@ -644,39 +722,84 @@ class Comm {
   }
 
   /// Publish a data collective's payload by pointer.
-  void publish_checked(CollectiveType type, uint64_t call, const void* ptr,
-                       uint64_t bytes) {
-    Published p = prepare_publish(type, call, ptr, bytes);
+  void publish_checked(CollectiveType type, const PayloadFault* fault,
+                       const void* ptr, uint64_t bytes) {
+    Published p = prepare_publish(type, fault, ptr, bytes);
     shared_->ptrs[index_] = p.ptr;
     shared_->nbytes[index_] = p.nbytes;
     shared_->sums[index_] = p.sum;
   }
 
-  /// Publish a fixed-size collective's value by copy into this rank's
-  /// inline slot of the current parity.
-  template <typename T>
-  void publish_inline(CollectiveType type, uint64_t call, const T& value) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    static_assert(sizeof(T) <= InlineSlot::kCapacity,
-                  "fixed-size collective value exceeds the inline slot");
-    Published p = prepare_publish(type, call, &value, sizeof(T));
+  /// Publish `bytes` at `ptr` by copy into this rank's inline slot of the
+  /// current parity.
+  void publish_slot(CollectiveType type, const PayloadFault* fault,
+                    const void* ptr, uint64_t bytes) {
+    Published p = prepare_publish(type, fault, ptr, bytes);
     InlineSlot& slot = shared_->inline_slots[arrival_base() + size_t(index_)];
     std::memcpy(slot.data, p.ptr, p.nbytes);
     slot.nbytes = p.nbytes;
     slot.sum = p.sum;
   }
 
+  /// Publish a fixed-size collective's value.
+  template <typename T>
+  void publish_inline(CollectiveType type, uint64_t call, const T& value) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    static_assert(sizeof(T) <= InlineSlot::kCapacity,
+                  "fixed-size collective value exceeds the inline slot");
+    publish_slot(type, pending_payload(type, call), &value, sizeof(T));
+  }
+
+  /// Publish this rank's rider contribution, if the call carries one.
+  void publish_rider(CollectiveType type, const PayloadFault* fault,
+                     const Rider& rider) {
+    if (rider) publish_slot(type, fault, rider.value_, rider.nbytes_);
+  }
+
+  /// Verify participant `src`'s inline slot: its `bytes`-byte value, or
+  /// null when the contribution is dropped.
+  const void* read_slot(CollectiveType type, int src, uint64_t bytes) {
+    const InlineSlot& slot =
+        shared_->inline_slots[arrival_base() + size_t(src)];
+    if (!verify_source(type, src, slot.data, slot.nbytes, slot.sum))
+      return nullptr;
+    check_source_size(type, src, slot.nbytes, bytes);
+    return slot.data;
+  }
+
   /// Verify participant `src`'s inline slot and copy its value into `out`;
   /// false (and `out` untouched) when the contribution is dropped.
   template <typename T>
   bool read_inline(CollectiveType type, int src, T& out) {
-    const InlineSlot& slot =
-        shared_->inline_slots[arrival_base() + size_t(src)];
-    if (!verify_source(type, src, slot.data, slot.nbytes, slot.sum))
-      return false;
-    check_source_size(type, src, slot.nbytes, sizeof(T));
-    std::memcpy(&out, slot.data, sizeof(T));
+    const void* v = read_slot(type, src, sizeof(T));
+    if (v == nullptr) return false;
+    std::memcpy(&out, v, sizeof(T));
     return true;
+  }
+
+  /// Fold the verified rider contributions into the rider's variable in
+  /// participant order, seeded like allreduce: every rank reads the same
+  /// slots and checksums, so every rank drops the same sources and ends
+  /// with the same value.
+  void fold_rider(CollectiveType type, const Rider& rider) {
+    if (!rider) return;
+    bool seeded = false;
+    for (int j = 0; j < size(); ++j) {
+      const void* v = read_slot(type, j, rider.nbytes_);
+      if (v == nullptr) continue;
+      if (seeded)
+        rider.fold_(rider.value_, v);
+      else
+        std::memcpy(rider.value_, v, rider.nbytes_);
+      seeded = true;
+    }
+  }
+
+  /// Modeled {intra, inter} bytes of a rider: charged as symmetric bytes,
+  /// like an allreduce of the same value.
+  std::pair<uint64_t, uint64_t> rider_charge(const Rider& rider) const {
+    if (!rider) return {0, 0};
+    return symmetric_bytes(rider.nbytes_);
   }
 
   /// Verify participant `src`'s published payload against its checksum.
@@ -752,7 +875,8 @@ class Comm {
   }
 
   void record(CollectiveType type, uint64_t bytes_sent, uint64_t inter,
-              double modeled_s, double wall_s, double my_cpu_delta) {
+              double modeled_s, double wall_s, double my_cpu_delta,
+              uint64_t rider_bytes = 0) {
     // Arrival spread: how much longer the slowest peer computed before this
     // collective — the wait this rank would incur on a dedicated machine.
     double max_delta = my_cpu_delta;
@@ -764,7 +888,7 @@ class Comm {
     ++collective_seq_;
     if (stats_)
       stats_->record(type, bytes_sent, inter, modeled_s, wall_s, imbalance_s,
-                     wait_s_);
+                     wait_s_, rider_bytes);
     // One span per collective on both clocks; advances this rank's modeled
     // clock so BFS/chip spans recorded later line up after it.
     obs::complete_span("comm", collective_type_name(type),

@@ -135,9 +135,10 @@ class A2aStaging {
   }
 
   /// Merge the lanes into the flat send buffer (counts → exclusive scan →
-  /// parallel fill over destinations) and run the all-to-all.  Returns the
+  /// parallel fill over destinations) and run the all-to-all, folding
+  /// `rider` (optional) across the participants alongside.  Returns the
   /// received concatenation, delimited per source by src_offsets().
-  std::span<const T> exchange(Comm& comm, ThreadPool& pool) {
+  std::span<const T> exchange(Comm& comm, ThreadPool& pool, Rider rider = {}) {
     for (size_t t = 0; t < nthreads_; ++t) {
       allocs_ += lane_allocs_[t];
       lane_allocs_[t] = 0;
@@ -147,7 +148,7 @@ class A2aStaging {
     // into the flat send buffer.  Same bytes, same order.
     if (nthreads_ == 1 && !encoded_ && !ExchangeFold<T>::enabled) {
       comm.alltoallv_blocks<T>(std::span(lanes_.data(), nparts_), recv_,
-                               &src_offsets_, &allocs_);
+                               &src_offsets_, &allocs_, rider);
       return recv_;
     }
     if (offsets_.capacity() < nparts_ + 1) ++allocs_;
@@ -173,10 +174,11 @@ class A2aStaging {
       if (total > 0) fold_blocks(pool);
     }
     if (!encoded_) {
-      comm.alltoallv_flat<T>(send_, offsets_, recv_, &src_offsets_, &allocs_);
+      comm.alltoallv_flat<T>(send_, offsets_, recv_, &src_offsets_, &allocs_,
+                             rider);
       return recv_;
     }
-    return exchange_encoded(comm, pool);
+    return exchange_encoded(comm, pool, rider);
   }
 
   /// Per-source delimiters into the last exchange()'s result (nparts+1).
@@ -237,7 +239,8 @@ class A2aStaging {
 
   /// Encoded leg of exchange(): sort + plan each destination block, write
   /// the winning codec into the pooled byte buffer, move bytes, decode.
-  std::span<const T> exchange_encoded(Comm& comm, ThreadPool& pool) {
+  std::span<const T> exchange_encoded(Comm& comm, ThreadPool& pool,
+                                      const Rider& rider) {
     using WF = WireFormat<T>;
     reserve_n(plans_, nparts_);
     plans_.assign(nparts_, BlockPlan{});
@@ -285,7 +288,7 @@ class A2aStaging {
                            used[c].blocks, used[c].messages, used[c].raw_bytes,
                            used[c].encoded_bytes);
     comm.alltoallv_flat<uint8_t>(enc_send_, enc_offsets_, enc_recv_,
-                                 &enc_src_offsets_, &allocs_);
+                                 &enc_src_offsets_, &allocs_, rider);
     // Header peek → per-source message counts → typed decode.  A source
     // dropped by fault recovery arrives as a zero-byte block (count 0).
     reserve_n(headers_, nparts_);

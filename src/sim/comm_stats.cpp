@@ -45,7 +45,8 @@ int64_t CommStats::encoding_saved_bytes() const {
 
 void CommStats::record(CollectiveType type, uint64_t bytes_sent,
                        uint64_t bytes_inter_supernode, double modeled_s,
-                       double wall_s, double imbalance_s, double wait_s) {
+                       double wall_s, double imbalance_s, double wait_s,
+                       uint64_t rider_bytes) {
   auto& e = entries_[int(type)];
   e.calls += 1;
   e.bytes_sent += bytes_sent;
@@ -54,6 +55,7 @@ void CommStats::record(CollectiveType type, uint64_t bytes_sent,
   e.wall_s += wall_s;
   e.wait_s += wait_s;
   e.imbalance_s += imbalance_s;
+  e.rider_bytes += rider_bytes;
 }
 
 double CommStats::total_modeled_s() const {
@@ -95,6 +97,7 @@ void CommStats::merge(const CommStats& other) {
     entries_[i].wall_s += other.entries_[i].wall_s;
     entries_[i].wait_s += other.entries_[i].wait_s;
     entries_[i].imbalance_s += other.entries_[i].imbalance_s;
+    entries_[i].rider_bytes += other.entries_[i].rider_bytes;
   }
   for (int t = 0; t < kCollectiveTypeCount; ++t) {
     for (int c = 0; c < kWireCodecCount; ++c) {
@@ -154,6 +157,7 @@ void CommStats::to_report(obs::Report& report,
     report.gauge(p + "wall_s", e.wall_s);
     report.gauge(p + "wait_s", e.wait_s);
     report.gauge(p + "imbalance_s", e.imbalance_s);
+    if (e.rider_bytes > 0) report.add_counter(p + "rider_bytes", e.rider_bytes);
   }
   report.gauge(prefix + "total_modeled_s", total_modeled_s());
   report.gauge(prefix + "total_wall_s", total_wall_s());

@@ -67,6 +67,9 @@ struct CollectiveEntry {
   /// Part of wall_s spent waiting in the communicator's barrier; the rest
   /// is publish, copy and verify.
   double wait_s = 0.0;
+  /// Rider bytes this rank contributed (sim::Rider); not part of
+  /// bytes_sent, which stays payload-only.
+  uint64_t rider_bytes = 0;
   /// Wait-for-peers this rank would incur on a dedicated machine: how much
   /// longer the slowest participant computed (thread-CPU clock, plus any
   /// injected straggler delay) since the previous collective — the
@@ -80,7 +83,8 @@ class CommStats {
  public:
   void record(CollectiveType type, uint64_t bytes_sent,
               uint64_t bytes_inter_supernode, double modeled_s,
-              double wall_s, double imbalance_s, double wait_s);
+              double wall_s, double imbalance_s, double wait_s,
+              uint64_t rider_bytes = 0);
 
   /// Record one payload-checksum verification (ok or mismatched).
   void note_checksum(bool ok) {

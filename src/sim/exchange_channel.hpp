@@ -90,16 +90,19 @@ class ExchangeChannel {
 
   /// Run the round: one alltoallv over `comm` when direct; when staged, one
   /// over the row communicator and one over the column communicator
-  /// (`comm` must then be the world communicator).  Returns the received
-  /// concatenation, delimited per original source by src_offsets().
-  std::span<const T> exchange(Comm& comm, ThreadPool& pool) {
-    if (!routing_) return direct_.exchange(comm, pool);
+  /// (`comm` must then be the world communicator).  `rider` (optional) comes
+  /// back folded over `comm`: a staged round folds it over the row in stage
+  /// 0 and the row partials over the column in stage 1, which is the same
+  /// fold because every row member holds the same partial.  Returns the
+  /// received concatenation, delimited per original source by src_offsets().
+  std::span<const T> exchange(Comm& comm, ThreadPool& pool, Rider rider = {}) {
+    if (!routing_) return direct_.exchange(comm, pool, rider);
     SUNBFS_ASSERT(comm.size() == mesh_.ranks());
-    std::span<const Routed<T>> held = row_pool_.exchange(*row_, pool);
+    std::span<const Routed<T>> held = row_pool_.exchange(*row_, pool, rider);
     col_pool_.begin(size_t(mesh_.rows), 1);
     for (const Routed<T>& m : held)
       col_pool_.push(0, size_t(mesh_.row_of(int(m.dst_part()))), m);
-    held = col_pool_.exchange(*col_, pool);
+    held = col_pool_.exchange(*col_, pool, rider);
     // Every surviving envelope terminates here; unwrap with a stable
     // counting sort by source rank so src_offsets() delimits exactly as a
     // direct alltoallv would (the merge policies guarantee each survivor's

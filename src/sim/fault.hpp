@@ -102,6 +102,11 @@ struct StragglerFault {
   double delay_s = 0;
 };
 
+/// PayloadFault::peer value that corrupts the call's rider (sim::Rider)
+/// instead of its payload.  A call carrying no rider leaves the fault
+/// pending for the next call of that type that does.
+inline constexpr int kRiderPeer = -2;
+
 /// One scheduled payload corruption (bit flip or truncation).
 struct PayloadFault {
   int rank = 0;  ///< sender whose published payload is corrupted
@@ -109,7 +114,8 @@ struct PayloadFault {
   uint64_t call_index = 0;
   FaultKind kind = FaultKind::BitFlip;
   /// For alltoallv: destination index within the communicator whose message
-  /// is corrupted; -1 picks the first non-empty message.
+  /// is corrupted; -1 picks the first non-empty message.  kRiderPeer
+  /// targets the rider of an alltoallv or allgatherv.
   int peer = -1;
 };
 

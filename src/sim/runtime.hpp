@@ -36,7 +36,7 @@
 namespace sunbfs::sim {
 
 /// Everything a rank can see: its coordinates, communicators and stats.
-struct RankContext {
+struct alignas(64) RankContext {
   int rank = 0;
   MeshShape mesh;
   const Topology* topology = nullptr;
@@ -50,6 +50,9 @@ struct RankContext {
   int col_index() const { return mesh.col_of(rank); }
   int nranks() const { return mesh.ranks(); }
 };
+// run_spmd keeps the contexts in one vector and each rank writes its own on
+// every collective: line-aligned contexts keep neighbours off its lines.
+static_assert(alignof(RankContext) == 64);
 
 /// How run_spmd reacts to faults and rank exceptions.
 struct SpmdOptions {

@@ -63,10 +63,12 @@ class BitVector {
     return (w.load(std::memory_order_relaxed) >> (i & 63)) & 1;
   }
 
-  void atomic_set(size_t i) {
+  /// Set bit i; true when this call changed it from 0 to 1.
+  bool atomic_set(size_t i) {
     SUNBFS_ASSERT(i < nbits_);
     std::atomic_ref<uint64_t> w(words_[i >> 6]);
-    w.fetch_or(uint64_t(1) << (i & 63), std::memory_order_relaxed);
+    const uint64_t mask = uint64_t(1) << (i & 63);
+    return (w.fetch_or(mask, std::memory_order_relaxed) & mask) == 0;
   }
 
   /// Zero all bits without changing the size.

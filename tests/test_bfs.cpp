@@ -3,6 +3,7 @@
 // exactly the same vertex set as the serial reference BFS.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <optional>
 
@@ -11,6 +12,7 @@
 #include "bfs/runner.hpp"
 #include "bfs/gathered_frontier.hpp"
 #include "bfs/vertex_cut.hpp"
+#include "graph/lattice.hpp"
 #include "graph/rmat.hpp"
 #include "graph/validate.hpp"
 #include "partition/part1d.hpp"
@@ -329,6 +331,100 @@ INSTANTIATE_TEST_SUITE_P(Meshes, Bfs1dCases,
                          ::testing::Values(sim::MeshShape{1, 1},
                                            sim::MeshShape{2, 2},
                                            sim::MeshShape{1, 3}));
+
+// ----------------------------------------------------- collective budget
+
+// The frontier counts ride each level's push exchange (sim::Rider), so a 1D
+// search makes one allreduce for the first level's exact count, plus one for
+// each level the carried bound cannot decide: after a pull level, or when
+// the bound is above the switch threshold.  Levels are unchanged: a search
+// from `root` runs eccentricity + 1 of them, one per non-empty frontier.
+
+uint64_t eccentricity(uint64_t nv, const std::vector<Edge>& edges,
+                      Vertex root) {
+  auto levels =
+      graph::levels_from_parents(nv, graph::reference_bfs(nv, edges, root),
+                                 root);
+  return uint64_t(*std::max_element(levels.begin(), levels.end()));
+}
+
+struct SearchCalls {
+  int iterations;
+  uint64_t allreduce, alltoallv, allgather;
+};
+
+/// bfs1d from every root in turn over `mesh`, counting rank 0's collectives
+/// per search.
+std::vector<SearchCalls> count_1d_calls(uint64_t nv,
+                                        const std::vector<Edge>& edges,
+                                        sim::MeshShape mesh,
+                                        std::span<const Vertex> roots) {
+  partition::VertexSpace space{nv, mesh.ranks()};
+  std::vector<SearchCalls> out;
+  sim::run_spmd(mesh, [&](sim::RankContext& ctx) {
+    const uint64_t m = edges.size();
+    std::vector<Edge> slice(
+        edges.begin() + ptrdiff_t(m * uint64_t(ctx.rank) / uint64_t(ctx.nranks())),
+        edges.begin() +
+            ptrdiff_t(m * uint64_t(ctx.rank + 1) / uint64_t(ctx.nranks())));
+    auto part = partition::build_1d(ctx, space, slice);
+    for (Vertex root : roots) {
+      ctx.stats.reset();
+      auto res = bfs1d_run(ctx, part, root);
+      auto calls = [&](sim::CollectiveType t) {
+        return ctx.stats.entry(t).calls;
+      };
+      if (ctx.rank == 0)
+        out.push_back({res.num_iterations,
+                       calls(sim::CollectiveType::Allreduce),
+                       calls(sim::CollectiveType::Alltoallv),
+                       calls(sim::CollectiveType::Allgather)});
+    }
+  });
+  return out;
+}
+
+TEST(CollectiveBudget, Bfs1dLatticeMakesOneAllreducePerSearch) {
+  // Every level pushes; the bound proves the frontier after the last one
+  // empty, so no level runs just to find it empty.
+  const auto lat = graph::LatticeConfig::torus(8, 96);
+  const auto edges = graph::generate_lattice(lat);
+  const Vertex roots[] = {0, 137, 400, 767};
+  const auto got =
+      count_1d_calls(lat.num_vertices(), edges, sim::MeshShape{2, 2}, roots);
+  ASSERT_EQ(got.size(), std::size(roots));
+  for (size_t i = 0; i < got.size(); ++i) {
+    SCOPED_TRACE("root " + std::to_string(roots[i]));
+    EXPECT_EQ(uint64_t(got[i].iterations),
+              eccentricity(lat.num_vertices(), edges, roots[i]) + 1);
+    EXPECT_EQ(got[i].allreduce, 1u);
+    EXPECT_EQ(got[i].alltoallv, uint64_t(got[i].iterations));
+    EXPECT_EQ(got[i].allgather, 0u);
+  }
+}
+
+TEST(CollectiveBudget, Bfs1dRmatCountsOnlyWhereTheBoundCannotDecide) {
+  Graph500Config cfg;
+  cfg.scale = 12;
+  cfg.seed = 13;
+  const auto edges = graph::generate_rmat(cfg);
+  const Vertex roots[] = {pick_root(cfg), 1, 77, 1000, 2048};
+  const auto got =
+      count_1d_calls(cfg.num_vertices(), edges, sim::MeshShape{2, 2}, roots);
+  ASSERT_EQ(got.size(), std::size(roots));
+  uint64_t pull_levels = 0;
+  for (size_t i = 0; i < got.size(); ++i) {
+    SCOPED_TRACE("root " + std::to_string(roots[i]));
+    EXPECT_EQ(uint64_t(got[i].iterations),
+              eccentricity(cfg.num_vertices(), edges, roots[i]) + 1);
+    // One frontier gather per pull level.  Exact counts: the first level,
+    // each pull level (its bound is above the threshold, or it follows a
+    // pull level) and the level after the last pull level.
+    EXPECT_LE(got[i].allreduce, got[i].allgather + 2);
+    pull_levels += got[i].allgather;
+  }
+  EXPECT_GT(pull_levels, 0u) << "no search pulled; the bound is untested";
+}
 
 // --------------------------------------- thread-count determinism (tpr sweep)
 

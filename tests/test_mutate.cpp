@@ -298,6 +298,66 @@ TEST(Apply15d, PatchedPartitionServesExactBfsAndSssp) {
     ASSERT_EQ(dist[v], ref_dist[v]) << "distance mismatch at " << v;
 }
 
+// ------------------------------------------------ repair collective budget
+
+// Each cascade and relaxation round carries its staged-message count as the
+// exchange's rider (sim::Rider), so repair makes no allreduce: a loop ends
+// on a round nobody staged for, one alltoallv past its last counted round.
+// The round counts are those of the per-round allreduce they replace.
+TEST(RepairBudget, RoundsMakeNoAllreduce) {
+  Graph500Config cfg;
+  cfg.scale = 10;
+  cfg.seed = 3;
+  const uint64_t nv = cfg.num_vertices();
+  const sim::MeshShape mesh{2, 2};
+  partition::VertexSpace space{nv, mesh.ranks()};
+  const Vertex root = pick_root(cfg);
+  mutate::MutationLogConfig lc;
+  lc.seed = 77;
+  lc.inserts_per_batch = 8;
+  lc.deletes_per_batch = 8;
+  const int batches = 6;
+  std::vector<mutate::RepairStats> stats(batches);
+  std::vector<uint64_t> allreduces(batches), alltoallvs(batches);
+  sim::run_spmd(mesh, [&](sim::RankContext& ctx) {
+    auto slice = slice_of(cfg, ctx.rank, ctx.nranks());
+    auto part = partition::build_1d(ctx, space, slice);
+    service::MsbfsOptions mopts;
+    mopts.record_depths = true;
+    const Vertex roots[1] = {root};
+    auto res = service::msbfs_run(ctx, part, roots, mopts);
+    auto base = graph::generate_rmat(cfg);
+    mutate::MutationLog log(lc, nv, base);
+    for (int b = 0; b < batches; ++b) {
+      const auto& mb = log.generate_next();
+      mutate::apply_batch_1d(ctx.rank, part, mb, nullptr);
+      ctx.stats.reset();
+      auto s = mutate::repair_bfs(ctx, part, mb, root,
+                                  std::span<Vertex>(res.parent),
+                                  std::span<int32_t>(res.depth));
+      if (ctx.rank == 0) {
+        stats[size_t(b)] = s;
+        allreduces[size_t(b)] =
+            ctx.stats.entry(sim::CollectiveType::Allreduce).calls;
+        alltoallvs[size_t(b)] =
+            ctx.stats.entry(sim::CollectiveType::Alltoallv).calls;
+      }
+    }
+  });
+  std::vector<int> cascade, relax;
+  for (int b = 0; b < batches; ++b) {
+    const auto& s = stats[size_t(b)];
+    cascade.push_back(s.cascade_rounds);
+    relax.push_back(s.repair_rounds);
+    EXPECT_EQ(allreduces[size_t(b)], 0u) << "batch " << b;
+    EXPECT_EQ(alltoallvs[size_t(b)],
+              uint64_t(s.cascade_rounds + s.repair_rounds + 2))
+        << "batch " << b;
+  }
+  EXPECT_EQ(cascade, (std::vector<int>{0, 2, 1, 0, 0, 1}));
+  EXPECT_EQ(relax, (std::vector<int>{3, 4, 3, 3, 3, 3}));
+}
+
 // -------------------------------- the differential repair oracle proper
 
 // Serial re-derivation of the canonical max-global-id parent rule (the

@@ -4,12 +4,14 @@
 // deadlines, admission control and replay deterministically.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <span>
 #include <vector>
 
 #include "bfs/runner.hpp"
 #include "bfs/workspace.hpp"
+#include "graph/lattice.hpp"
 #include "graph/rmat.hpp"
 #include "graph/validate.hpp"
 #include "partition/part1d.hpp"
@@ -168,6 +170,51 @@ TEST(Msbfs, LaneIndependence) {
     if (ctx.rank == 0) mismatches = bad;
   });
   EXPECT_EQ(mismatches, 0u);
+}
+
+// The batch's control words (frontier bits, query OR, next-frontier bound)
+// ride each push level's visit exchange (sim::Rider): on a lattice, where
+// every level pushes, a batch makes one allreduce — the first level's exact
+// count — and one alltoallv per level, plus one for a last level that finds
+// the frontier empty when the bound cannot prove it.  Levels and depths are
+// unchanged: each query's level is its root's eccentricity.
+TEST(Msbfs, LatticeBatchMakesOneAllreduce) {
+  const auto lat = graph::LatticeConfig::torus(8, 96);
+  const auto edges = graph::generate_lattice(lat);
+  const uint64_t nv = lat.num_vertices();
+  const sim::MeshShape mesh{2, 2};
+  partition::VertexSpace space{nv, mesh.ranks()};
+  const std::vector<Vertex> roots = {0, 137, 400, 767, 5, 5};
+  MsbfsResult got;
+  uint64_t allreduce = 0, alltoallv = 0, allgather = 0;
+  sim::run_spmd(mesh, [&](sim::RankContext& ctx) {
+    const uint64_t m = edges.size();
+    std::vector<graph::Edge> slice(
+        edges.begin() + ptrdiff_t(m * uint64_t(ctx.rank) / 4),
+        edges.begin() + ptrdiff_t(m * uint64_t(ctx.rank + 1) / 4));
+    auto part = partition::build_1d(ctx, space, slice);
+    ctx.stats.reset();
+    MsbfsResult res = msbfs_run(ctx, part, roots);
+    if (ctx.rank == 0) {
+      got = std::move(res);
+      allreduce = ctx.stats.entry(sim::CollectiveType::Allreduce).calls;
+      alltoallv = ctx.stats.entry(sim::CollectiveType::Alltoallv).calls;
+      allgather = ctx.stats.entry(sim::CollectiveType::Allgather).calls;
+    }
+  });
+  int deepest = 0;
+  for (size_t q = 0; q < roots.size(); ++q) {
+    auto levels = graph::levels_from_parents(
+        nv, graph::reference_bfs(nv, edges, roots[q]), roots[q]);
+    const int ecc = int(*std::max_element(levels.begin(), levels.end()));
+    EXPECT_EQ(got.levels[q], ecc) << "query " << q;
+    deepest = std::max(deepest, ecc);
+  }
+  EXPECT_EQ(got.num_iterations, deepest + 1);
+  EXPECT_EQ(allreduce, 1u);
+  EXPECT_GE(alltoallv, uint64_t(got.num_iterations));
+  EXPECT_LE(alltoallv, uint64_t(got.num_iterations) + 1);
+  EXPECT_EQ(allgather, 0u);
 }
 
 // ------------------------------------------------------------- broker

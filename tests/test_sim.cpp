@@ -4,13 +4,18 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <numeric>
 #include <set>
 #include <string>
 #include <thread>
 
+#include "bfs/messages.hpp"
+#include "sim/comm_buffer.hpp"
+#include "sim/exchange_channel.hpp"
 #include "sim/runtime.hpp"
 #include "support/check.hpp"
+#include "support/thread_pool.hpp"
 
 namespace sunbfs::sim {
 namespace {
@@ -403,6 +408,212 @@ TEST(Collectives, MixedStressChecksEveryResult) {
     });
     EXPECT_EQ(failures.load(), 0)
         << mesh.rows << "x" << mesh.cols << ": " << first_failure;
+  }
+}
+
+// ------------------------------------------------------------------ riders
+
+struct SumOr {
+  uint64_t sum;
+  uint64_t bits;
+  bool operator==(const SumOr&) const = default;
+};
+
+struct FoldSumOr {
+  SumOr operator()(const SumOr& a, const SumOr& b) const {
+    return {a.sum + b.sum, a.bits | b.bits};
+  }
+};
+
+// Rank r's rider in round i, and the fold every rank must get back.
+SumOr rider_of(int rank, int round) {
+  return {uint64_t(rank) * 1000 + uint64_t(round),
+          uint64_t(1) << ((rank + round) % 64)};
+}
+
+SumOr folded(int nranks, int round) {
+  SumOr f = rider_of(0, round);
+  for (int r = 1; r < nranks; ++r) f = FoldSumOr{}(f, rider_of(r, round));
+  return f;
+}
+
+TEST(Rider, FoldsOnEveryDataCollective) {
+  // Sum and OR riders on alltoallv_flat and allgatherv_into, and a struct
+  // rider on both A2aStaging legs (one raw writer lane publishes blocks in
+  // place, two lanes go through the encoded flat buffer).  Every third
+  // round has no payload at all: the rider still folds, and it never
+  // counts as payload.
+  for (MeshShape mesh : {MeshShape{2, 2}, MeshShape{2, 4}}) {
+    SCOPED_TRACE(std::to_string(mesh.rows) + "x" + std::to_string(mesh.cols));
+    run_spmd(mesh, [&](RankContext& ctx) {
+      const int p = ctx.nranks();
+      ThreadPool pool(2);
+      A2aStaging<bfs::CompactMsg> raw, encoded;
+      raw.set_encoded(false);
+      std::vector<uint64_t> send, offsets(size_t(p) + 1), out;
+      std::vector<size_t> src_off;
+      std::vector<uint32_t> mine, gathered;
+      for (int i = 0; i < 12; ++i) {
+        const bool empty = i % 3 == 0;
+        const SumOr want = folded(p, i);
+
+        send.clear();
+        for (int d = 0; d < p; ++d) {
+          offsets[size_t(d)] = send.size();
+          if (!empty) send.push_back(uint64_t(ctx.rank) * 100 + uint64_t(d));
+        }
+        offsets[size_t(p)] = send.size();
+        const uint64_t bytes0 =
+            ctx.stats.entry(CollectiveType::Alltoallv).bytes_sent;
+        uint64_t sum = rider_of(ctx.rank, i).sum;
+        ctx.world.alltoallv_flat(std::span<const uint64_t>(send),
+                                 std::span<const uint64_t>(offsets), out,
+                                 &src_off, nullptr, Rider(sum, std::plus<>{}));
+        EXPECT_EQ(sum, want.sum);
+        ASSERT_EQ(out.size(), empty ? 0u : size_t(p));
+        for (size_t s = 0; s < out.size(); ++s)
+          EXPECT_EQ(out[s], s * 100 + uint64_t(ctx.rank));
+        if (empty) {
+          EXPECT_EQ(ctx.stats.entry(CollectiveType::Alltoallv).bytes_sent,
+                    bytes0);
+        }
+
+        mine.assign(empty ? 0 : size_t(ctx.rank) + 1, uint32_t(ctx.rank));
+        uint64_t bits = rider_of(ctx.rank, i).bits;
+        ctx.world.allgatherv_into(std::span<const uint32_t>(mine), gathered,
+                                  nullptr, nullptr,
+                                  Rider(bits, std::bit_or<>{}));
+        EXPECT_EQ(bits, want.bits);
+        EXPECT_EQ(gathered.size(), empty ? 0u : size_t(p * (p + 1) / 2));
+
+        for (A2aStaging<bfs::CompactMsg>* st : {&raw, &encoded}) {
+          const size_t lanes = st == &raw ? 1 : 2;
+          st->begin(size_t(p), lanes);
+          if (!empty)
+            for (int d = 0; d < p; ++d)
+              st->push(size_t(d) % lanes, size_t(d),
+                       bfs::CompactMsg{uint32_t(d), uint32_t(ctx.rank)});
+          SumOr v = rider_of(ctx.rank, i);
+          auto got = st->exchange(ctx.world, pool, Rider(v, FoldSumOr{}));
+          EXPECT_EQ(v, want);
+          EXPECT_EQ(got.size(), empty ? 0u : size_t(p));
+        }
+      }
+      // Rider bytes are accounted on their own, per contribution.
+      EXPECT_EQ(ctx.stats.entry(CollectiveType::Alltoallv).rider_bytes,
+                12 * (sizeof(uint64_t) + 2 * sizeof(SumOr)));
+      EXPECT_EQ(ctx.stats.entry(CollectiveType::Allgather).rider_bytes,
+                12 * sizeof(uint64_t));
+    });
+  }
+}
+
+// One alltoallv and one allgatherv with sum riders of 1 << rank, after an
+// alltoallv without a rider (call 0 of its type).
+void rider_rounds(RankContext& ctx, uint64_t* a2a_sum, uint64_t* ag_sum) {
+  const size_t p = size_t(ctx.nranks());
+  std::vector<uint64_t> send(p, uint64_t(ctx.rank)), offsets(p + 1), out;
+  std::iota(offsets.begin(), offsets.end(), uint64_t(0));
+  std::vector<size_t> src_off;
+  ctx.world.alltoallv_flat(std::span<const uint64_t>(send),
+                           std::span<const uint64_t>(offsets), out, &src_off);
+  *a2a_sum = uint64_t(1) << ctx.rank;
+  ctx.world.alltoallv_flat(std::span<const uint64_t>(send),
+                           std::span<const uint64_t>(offsets), out, &src_off,
+                           nullptr, Rider(*a2a_sum, std::plus<>{}));
+  // The payload itself is untouched by a rider fault.
+  for (size_t s = 0; s < p; ++s) EXPECT_EQ(out[s], s);
+  std::vector<uint64_t> gathered;
+  *ag_sum = uint64_t(1) << ctx.rank;
+  ctx.world.allgatherv_into(std::span<const uint64_t>(send.data(), 1),
+                            gathered, nullptr, nullptr,
+                            Rider(*ag_sum, std::plus<>{}));
+}
+
+TEST(Rider, BitFlipUnderRecoverIsDroppedOnEveryRank) {
+  // Aimed at call 0, which carries no rider: the alltoallv fault waits for
+  // call 1, which does.
+  FaultPlan plan;
+  plan.add_bitflip(1, CollectiveType::Alltoallv, 0, kRiderPeer)
+      .add_bitflip(2, CollectiveType::Allgather, 0, kRiderPeer);
+  SpmdOptions opts;
+  opts.policy = FaultPolicy::Recover;
+  opts.faults = &plan;
+  std::vector<uint64_t> a2a(4), ag(4);
+  std::vector<int> pending(4);
+  auto report = run_spmd(
+      Topology(MeshShape{2, 2}),
+      [&](RankContext& ctx) {
+        rider_rounds(ctx, &a2a[size_t(ctx.rank)], &ag[size_t(ctx.rank)]);
+        pending[size_t(ctx.rank)] = ctx.faults.take_pending();
+      },
+      opts);
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(a2a, std::vector<uint64_t>(4, 0b1101));  // rank 1 dropped
+  EXPECT_EQ(ag, std::vector<uint64_t>(4, 0b1011));   // rank 2 dropped
+  EXPECT_EQ(pending, std::vector<int>(4, 1));
+  const FaultStats f = report.fault_totals();
+  EXPECT_EQ(f.injected_corruptions, 2u);
+  EXPECT_EQ(f.detected, 8u);  // every rank checks every rider
+}
+
+TEST(Rider, BitFlipUnderAbortNamesBothRanks) {
+  FaultPlan plan;
+  plan.add_bitflip(1, CollectiveType::Alltoallv, 0, kRiderPeer);
+  SpmdOptions opts;
+  opts.faults = &plan;
+  try {
+    run_spmd(
+        Topology(MeshShape{2, 2}),
+        [&](RankContext& ctx) {
+          uint64_t a2a = 0, ag = 0;
+          rider_rounds(ctx, &a2a, &ag);
+        },
+        opts);
+    FAIL() << "a corrupted rider went undetected";
+  } catch (const FaultDetected& e) {
+    EXPECT_EQ(e.collective, CollectiveType::Alltoallv);
+    EXPECT_EQ(e.source_rank, 1);
+    ASSERT_GE(e.detector_rank, 0);
+    const std::string what = e.what();
+    EXPECT_NE(what.find("from rank 1 "), std::string::npos) << what;
+    EXPECT_NE(what.find("corrupt at rank " + std::to_string(e.detector_rank)),
+              std::string::npos)
+        << what;
+  }
+}
+
+TEST(Rider, StagedAndDirectChannelRoundsFoldAlike) {
+  // A 2dca round folds over the row, then the row partials over the
+  // column; a direct round folds over the world in one alltoallv.  Both
+  // must hand every rank the world fold, with and without payload.
+  for (MeshShape mesh : {MeshShape{2, 2}, MeshShape{2, 4}, MeshShape{4, 4}}) {
+    SCOPED_TRACE(std::to_string(mesh.rows) + "x" + std::to_string(mesh.cols));
+    run_spmd(mesh, [&](RankContext& ctx) {
+      const int p = ctx.nranks();
+      ThreadPool pool(1);
+      for (ExchangeBackend backend :
+           {ExchangeBackend::Direct, ExchangeBackend::TwoDCA}) {
+        ExchangeChannel<bfs::CompactMsg> ch;
+        ch.configure(ctx, {.backend = backend, .encoding = true});
+        for (int i = 0; i < 4; ++i) {
+          const uint64_t calls0 =
+              ctx.stats.entry(CollectiveType::Alltoallv).calls;
+          ch.begin_world(1);
+          // Distinct keys per source, so no in-flight merge folds them.
+          if (i % 2 == 1)
+            for (int d = 0; d < p; ++d)
+              ch.push(0, size_t(d),
+                      bfs::CompactMsg{uint32_t(ctx.rank), uint32_t(i)});
+          SumOr v = rider_of(ctx.rank, i);
+          auto got = ch.exchange(ctx.world, pool, Rider(v, FoldSumOr{}));
+          EXPECT_EQ(v, folded(p, i)) << exchange_backend_name(backend);
+          EXPECT_EQ(got.size(), i % 2 == 1 ? size_t(p) : 0u);
+          EXPECT_EQ(ctx.stats.entry(CollectiveType::Alltoallv).calls - calls0,
+                    backend == ExchangeBackend::TwoDCA ? 2u : 1u);
+        }
+      }
+    });
   }
 }
 
