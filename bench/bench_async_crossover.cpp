@@ -45,7 +45,7 @@ struct Meas {
   uint64_t collective_calls = 0; ///< every collective the traversal entered
   uint64_t a2a_bytes = 0;        ///< alltoallv payload bytes, rank 0
   double comm_modeled_s = 0;     ///< modeled network seconds (deterministic)
-  double max_cpu_s = 0;          ///< slowest rank's compute CPU (measured)
+  double max_cpu_s = 0;          ///< slowest rank's compute CPU, min of repeats
 
   double modeled_total_s() const { return max_cpu_s + comm_modeled_s; }
 };
@@ -59,7 +59,11 @@ uint64_t total_calls(const sim::CommStats& s) {
 
 using SliceFn = std::function<std::vector<graph::Edge>(int, int)>;
 
-// Build the requested engine over per-rank slices and run one traversal.
+/// Repeats of each traversal; the gates read the minimum compute CPU.
+constexpr int kCpuRepeats = 5;
+
+// Build the requested engine over per-rank slices and run its traversal
+// kCpuRepeats times.
 Meas run_engine(sim::MeshShape mesh, uint64_t nv, graph::Vertex root,
                 bfs::EngineKind kind, const SliceFn& slice_fn) {
   const partition::VertexSpace space{nv, mesh.ranks()};
@@ -74,24 +78,32 @@ Meas run_engine(sim::MeshShape mesh, uint64_t nv, graph::Vertex root,
     ecfg.async.threads_per_rank = 2;
     auto engine = bfs::make_engine(ctx, space, slice, degrees, ecfg);
 
-    const uint64_t calls0 = total_calls(ctx.stats);
-    const double modeled0 = ctx.stats.total_modeled_s();
-    const uint64_t a2a0 =
-        ctx.stats.entry(sim::CollectiveType::Alltoallv).bytes_sent;
-    bfs::EngineRun r = engine->run(ctx, root);
-    const uint64_t calls1 = total_calls(ctx.stats);
-    const double modeled1 = ctx.stats.total_modeled_s();
-    const uint64_t a2a1 =
-        ctx.stats.entry(sim::CollectiveType::Alltoallv).bytes_sent;
+    // The traversal is deterministic, so every repeat moves the same
+    // rounds, calls and bytes; the first one's are recorded.  Its compute
+    // CPU is ~1 ms on R-MAT, where a single shot is host noise, so the
+    // minimum over the repeats stands for it.
+    double min_cpu = 0;
+    for (int rep = 0; rep < kCpuRepeats; ++rep) {
+      const uint64_t calls0 = total_calls(ctx.stats);
+      const double modeled0 = ctx.stats.total_modeled_s();
+      const uint64_t a2a0 =
+          ctx.stats.entry(sim::CollectiveType::Alltoallv).bytes_sent;
+      bfs::EngineRun r = engine->run(ctx, root);
+      const uint64_t calls1 = total_calls(ctx.stats);
+      const double modeled1 = ctx.stats.total_modeled_s();
+      const uint64_t a2a1 =
+          ctx.stats.entry(sim::CollectiveType::Alltoallv).bytes_sent;
 
-    const double max_cpu = ctx.world.allreduce_max(r.cpu_s);
-    if (ctx.rank == 0) {
-      meas.rounds = r.rounds;
-      meas.collective_calls = calls1 - calls0;
-      meas.a2a_bytes = a2a1 - a2a0;
-      meas.comm_modeled_s = modeled1 - modeled0;
-      meas.max_cpu_s = max_cpu;
+      const double max_cpu = ctx.world.allreduce_max(r.cpu_s);
+      min_cpu = rep == 0 ? max_cpu : std::min(min_cpu, max_cpu);
+      if (ctx.rank == 0 && rep == 0) {
+        meas.rounds = r.rounds;
+        meas.collective_calls = calls1 - calls0;
+        meas.a2a_bytes = a2a1 - a2a0;
+        meas.comm_modeled_s = modeled1 - modeled0;
+      }
     }
+    if (ctx.rank == 0) meas.max_cpu_s = min_cpu;
   });
   return meas;
 }

@@ -226,7 +226,7 @@ Bfs1dResult bfs1d_run(sim::RankContext& ctx, const partition::Part1d& part,
             int owner = space.owner(u);
             if (frontier.get(owner, uint64_t(u) - space.begin(owner))) {
               fresh += visit(lloc, u);
-              break;  // early exit
+              break;  // descending row: the first hit is the max-id parent
             }
           }
         }

@@ -192,23 +192,11 @@ BfsAsyncResult bfsasync_run(sim::RankContext& ctx,
   // depth), so pull rounds change execution cost, not output — final
   // parents stay bit-identical across thread counts and exchange backends.
   //
-  // A private descending-sorted adjacency makes that cheap: scanning in
-  // decreasing global id, the FIRST frontier hit is the max frontier
-  // neighbor, restoring bfs1d-pull's early exit without giving up the
-  // canonical parent.  Built once per run, outside the measured compute.
-  std::vector<uint64_t> adj_off(local_count + 1, 0);
-  for (uint64_t lloc = 0; lloc < local_count; ++lloc)
-    adj_off[lloc + 1] = adj_off[lloc] + part.adj.neighbors(lloc).size();
-  std::vector<Vertex> adj_desc(adj_off[local_count]);
-  for (uint64_t lloc = 0; lloc < local_count; ++lloc) {
-    auto nb = part.adj.neighbors(lloc);
-    std::copy(nb.begin(), nb.end(), adj_desc.begin() + ptrdiff_t(adj_off[lloc]));
-    std::sort(adj_desc.begin() + ptrdiff_t(adj_off[lloc]),
-              adj_desc.begin() + ptrdiff_t(adj_off[lloc + 1]),
-              std::greater<Vertex>());
-  }
+  // The partition's rows are sorted by descending global id
+  // (Part1d::adj), so the scan's FIRST frontier hit is the max frontier
+  // neighbor: bfs1d-pull's early exit and the canonical parent at once.
   // Global arc count for the edge-mass pull trigger (static, one collective).
-  const uint64_t total_arcs = ctx.world.allreduce_sum(adj_off[local_count]);
+  const uint64_t total_arcs = ctx.world.allreduce_sum(part.adj.num_arcs());
   BitVector pull_bits(local_count);
   // Gathered frontier flattened to global-id bit positions: the pull probe
   // loop touches every arc of every unsettled vertex, so it must not pay the
@@ -247,8 +235,8 @@ BfsAsyncResult bfsasync_run(sim::RankContext& ctx,
       for (size_t lloc = n * lane / parts; lloc < n * (lane + 1) / parts;
            ++lloc) {
         if (claim_depth(claims[lloc]) <= dmin) continue;  // settled
-        for (uint64_t i = adj_off[lloc]; i < adj_off[lloc + 1]; ++i) {
-          const uint64_t u = uint64_t(adj_desc[i]);
+        for (Vertex v : part.adj.neighbors(lloc)) {
+          const uint64_t u = uint64_t(v);
           if (!((flat_front[u >> 6] >> (u & 63)) & 1)) continue;
           if (try_claim(lloc, pack_claim(uint32_t(cand_depth), uint32_t(u))))
             out.push_back((cand_depth << 32) | lloc);
@@ -311,7 +299,7 @@ BfsAsyncResult bfsasync_run(sim::RankContext& ctx,
     if (global_dmin < buckets.size()) {
       load.count = buckets[global_dmin].size();
       for (uint32_t lloc : buckets[global_dmin])
-        load.mass += adj_off[lloc + 1] - adj_off[lloc];
+        load.mass += part.adj.degree(lloc);
     }
     load = ctx.world.allreduce(load, [](FrontierLoad a, FrontierLoad b) {
       return FrontierLoad{a.count + b.count, a.mass + b.mass};
@@ -339,7 +327,7 @@ BfsAsyncResult bfsasync_run(sim::RankContext& ctx,
       if (d > global_dmin) {
         uint64_t mass = 0;
         for (uint32_t lloc : buckets[d])
-          mass += adj_off[lloc + 1] - adj_off[lloc];
+          mass += part.adj.degree(lloc);
         if (mass > spec_cap) break;
       }
       cur.swap(buckets[d]);

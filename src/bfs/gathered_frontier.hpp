@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "sim/comm.hpp"
 #include "sim/comm_buffer.hpp"
@@ -15,19 +14,10 @@ namespace sunbfs::bfs {
 
 class GatheredFrontier {
  public:
-  /// Collective: every participant contributes its local bitmap.
-  static GatheredFrontier gather(sim::Comm& comm, const BitVector& local) {
-    GatheredFrontier g;
-    std::span<const uint64_t> words(local.data(), local.word_count());
-    g.owned_words_ = comm.allgatherv(words, &g.owned_off_);
-    g.words_ = g.owned_words_.data();
-    g.word_off_ = g.owned_off_.data();
-    return g;
-  }
-
-  /// Collective, allocation-free in steady state: gathers into `buf` (whose
-  /// capacity survives across levels/roots) and returns a view into it.  The
-  /// view is valid until buf's next gather.
+  /// Collective, allocation-free in steady state: every participant
+  /// contributes its local bitmap, gathered into `buf` (whose capacity
+  /// survives across levels/roots).  Returns a view into it, valid until
+  /// buf's next gather.
   static GatheredFrontier gather(sim::Comm& comm, const BitVector& local,
                                  sim::GatherBuffer<uint64_t>& buf) {
     GatheredFrontier g;
@@ -46,8 +36,6 @@ class GatheredFrontier {
  private:
   const uint64_t* words_ = nullptr;
   const size_t* word_off_ = nullptr;
-  std::vector<uint64_t> owned_words_;  // backing store for the legacy path
-  std::vector<size_t> owned_off_;
 };
 
 }  // namespace sunbfs::bfs

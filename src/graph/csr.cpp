@@ -1,6 +1,7 @@
 #include "graph/csr.hpp"
 
 #include <algorithm>
+#include <functional>
 
 #include "support/check.hpp"
 #include "support/prefix.hpp"
@@ -46,27 +47,30 @@ Csr Csr::from_undirected(uint64_t num_vertices, std::span<const Edge> edges) {
   return csr;
 }
 
+void Csr::sort_rows_descending() {
+  for (uint64_t r = 0; r < num_rows(); ++r)
+    std::sort(values_.begin() + ptrdiff_t(offsets_[r]),
+              values_.begin() + ptrdiff_t(ends_[r]), std::greater<Vertex>());
+}
+
 bool Csr::insert_arc(uint64_t row, Vertex value) {
   SUNBFS_ASSERT(row < num_rows());
   if (ends_[row] == offsets_[row + 1]) return false;
-  values_[ends_[row]++] = value;
+  // Shift the arcs smaller than `value` one slot into the slack.
+  uint64_t i = ends_[row]++;
+  for (; i > offsets_[row] && values_[i - 1] < value; --i)
+    values_[i] = values_[i - 1];
+  values_[i] = value;
   ++live_arcs_;
   return true;
 }
 
 uint64_t Csr::erase_arcs(uint64_t row, Vertex value) {
   SUNBFS_ASSERT(row < num_rows());
-  uint64_t removed = 0;
-  uint64_t i = offsets_[row];
-  while (i < ends_[row]) {
-    if (values_[i] == value) {
-      values_[i] = values_[ends_[row] - 1];
-      --ends_[row];
-      ++removed;
-    } else {
-      ++i;
-    }
-  }
+  auto begin = values_.begin() + ptrdiff_t(offsets_[row]);
+  auto end = values_.begin() + ptrdiff_t(ends_[row]);
+  const uint64_t removed = uint64_t(end - std::remove(begin, end, value));
+  ends_[row] -= removed;
   live_arcs_ -= removed;
   return removed;
 }

@@ -22,6 +22,11 @@ namespace sunbfs::graph {
 /// slack through erase_arcs/compact and fills it through insert_arc, so
 /// engines that only use degree()/neighbors()/num_arcs() are oblivious
 /// to in-place patches.
+///
+/// Row order: insert_arc, erase_arcs and compact all preserve it, so a
+/// CSR whose rows were sorted descending (sort_rows_descending) keeps
+/// every row non-increasing under mutation.  The 1D engines rely on that
+/// invariant for their shared parent rule (docs/PERF.md).
 class Csr {
  public:
   Csr() = default;
@@ -55,19 +60,24 @@ class Csr {
                                    degree(row));
   }
 
-  /// Append `value` to `row`'s live range.  Returns false (no change) when
-  /// the row has no slack left; the caller then compact()s and retries.
+  /// Sort every row's live arcs by descending value.  The resident 1D
+  /// partition does this once at build (partition::build_1d), so each 1D
+  /// pull's first frontier hit is its max-id parent.
+  void sort_rows_descending();
+
+  /// Insert `value` into `row`'s live range, shifting the trailing arcs
+  /// smaller than it one slot right: a descending row stays descending.
+  /// Returns false (no change) when the row has no slack left; the caller
+  /// then compact()s and retries.
   bool insert_arc(uint64_t row, Vertex value);
 
   /// Remove every copy of `value` from `row` (tombstone semantics: deleting
-  /// an edge kills all its duplicates).  Order of survivors is permuted
-  /// (swap-with-last), which no consumer observes — engines are
-  /// neighbor-order independent by the determinism contract.  Returns the
-  /// number of arcs removed (0 == miss).
+  /// an edge kills all its duplicates), keeping the survivors in order.
+  /// Returns the number of arcs removed (0 == miss).
   uint64_t erase_arcs(uint64_t row, Vertex value);
 
   /// Rebuild in place, giving every row `max(slack_min, degree/4)` spare
-  /// slots.  Live adjacency (as a per-row multiset) is unchanged.
+  /// slots.  Live arcs keep their order.
   void compact(uint64_t slack_min = 4);
 
   const std::vector<uint64_t>& offsets() const { return offsets_; }

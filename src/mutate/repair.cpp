@@ -223,7 +223,7 @@ RepairStats repair_bfs(sim::RankContext& ctx, const partition::Part1d& part,
     }
   }
 
-  stats.compute_model_s = double(arcs_scanned) * options.sim_seconds_per_edge;
+  stats.compute_model_s = double(arcs_scanned) * sim::kModeledSecondsPerEdge;
   return stats;
 }
 

@@ -82,10 +82,6 @@ struct RepairOptions {
   /// Resident primed channels; null uses private per-call ones.
   RepairChannels* channels = nullptr;
   sim::ExchangeOptions exchange;
-  /// Modeled seconds per scanned arc, charged by the caller from
-  /// RepairStats::compute_model_s (same scale as the engines'
-  /// sim_seconds_per_edge).
-  double sim_seconds_per_edge = 2e-9;
 };
 
 struct RepairStats {

@@ -26,6 +26,7 @@ Part1d build_1d(sim::RankContext& ctx, const VertexSpace& space,
     vals.push_back(a.v);
   }
   part.adj = graph::Csr::from_arcs(space.count(ctx.rank), rows, vals);
+  part.adj.sort_rows_descending();
   return part;
 }
 

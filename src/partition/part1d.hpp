@@ -14,7 +14,10 @@ namespace sunbfs::partition {
 
 struct Part1d {
   VertexSpace space;
-  graph::Csr adj;  ///< rows: local vertex index, values: global neighbor id
+  /// rows: local vertex index, values: global neighbor id.  Every row is
+  /// sorted by descending global id (build_1d; Csr's patches keep it), so a
+  /// pull scan's first frontier hit is the max-id parent.
+  graph::Csr adj;
 };
 
 /// Build collectively from per-rank slices of the global edge list: each

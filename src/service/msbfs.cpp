@@ -209,9 +209,8 @@ MsbfsResult msbfs_run(sim::RankContext& ctx, const partition::Part1d& part,
       for (uint64_t lloc = lo; lloc < hi; ++lloc) {
         uint64_t pending = ~visited[lloc] & width_mask;
         if (pending == 0) continue;
-        // Canonical parent rule: scan every neighbour (no early exit) and
-        // keep the maximum frontier source per pending query.
-        Vertex cand[kMaxBatchWidth];
+        // The row is descending (Part1d::adj), so each pending query's first
+        // frontier hit is its max-id parent; stop once every query has one.
         uint64_t found = 0;
         for (Vertex u : part.adj.neighbors(lloc)) {
           ++edges;
@@ -219,24 +218,19 @@ MsbfsResult msbfs_run(sim::RankContext& ctx, const partition::Part1d& part,
           uint64_t hits =
               gathered[off[size_t(owner)] + (uint64_t(u) - space.begin(owner))] &
               pending;
+          if (hits == 0) continue;
+          found |= hits;
+          pending &= ~hits;
           while (hits != 0) {
             int q = std::countr_zero(hits);
             hits &= hits - 1;
-            if ((found >> q & 1) == 0 || cand[q] < u) {
-              cand[q] = u;
-              found |= uint64_t(1) << q;
-            }
+            parent[size_t(q) * local_count + lloc] = u;
           }
+          if (pending == 0) break;
         }
         if (found == 0) continue;
         next[lloc] |= found;  // this thread owns lloc's whole block
         claims.add(found);    // pending bits: all fresh
-        uint64_t bits = found;
-        while (bits != 0) {
-          int q = std::countr_zero(bits);
-          bits &= bits - 1;
-          parent[size_t(q) * local_count + lloc] = cand[q];
-        }
       }
       atomic_add(result.work_edges, edges);
       merge_claims(claims);
@@ -353,7 +347,7 @@ MsbfsResult msbfs_run(sim::RankContext& ctx, const partition::Part1d& part,
   }
   result.num_iterations = iteration;
   result.compute_model_s = double(result.work_edges) *
-                           options.sim_seconds_per_edge / double(pool.size());
+                           sim::kModeledSecondsPerEdge / double(pool.size());
   // The collectives advanced the modeled clock by their network seconds;
   // account the batch's compute on the same (deterministic) clock.
   obs::Tracer::advance_modeled(result.compute_model_s);

@@ -24,9 +24,11 @@
 /// rule names a unique tree per (graph, root) — independent of traversal
 /// direction, batch width, batch composition and thread count — which is
 /// what makes "batch output bit-identical to W single-root runs" a testable
-/// equality rather than a coincidence of scheduling.  (The bottom-up kernel
-/// therefore scans *all* neighbours of a pending vertex; the early-exit
-/// first-match trick of bfs1d would tie the parent to CSR order.)
+/// equality rather than a coincidence of scheduling.  It is the parent rule
+/// of every 1D engine (bfs1d, bfsasync), so a width-1 batch returns their
+/// parent arrays.  Push levels fold every candidate with a fetch-max; the
+/// bottom-up kernel scans the partition's descending rows (Part1d::adj) and
+/// stops once every pending query has its first — hence max-id — hit.
 namespace sunbfs::bfs {
 class BfsWorkspace;
 }
@@ -49,10 +51,6 @@ struct MsbfsOptions {
   /// Switch to bottom-up when active (vertex, query) pairs exceed this
   /// fraction of total x width.
   double pull_ratio = 0.10;
-  /// Deterministic compute-cost model: modeled seconds per examined edge
-  /// (the virtual clock must not depend on host wall time — see
-  /// docs/SERVICE.md "Determinism").
-  double sim_seconds_per_edge = 2e-9;
   /// Worker threads per rank; <= 0 means auto.  Ignored when `workspace` is
   /// provided.
   int threads_per_rank = 0;
@@ -91,7 +89,7 @@ struct MsbfsResult {
   std::vector<int32_t> depth;
   int num_iterations = 0;    ///< shared level-loop sweeps for the batch
   uint64_t work_edges = 0;   ///< this rank's examined-edge count
-  double compute_model_s = 0;  ///< work_edges x sim_seconds_per_edge / threads
+  double compute_model_s = 0;  ///< work_edges x kModeledSecondsPerEdge / threads
 };
 
 /// Run one batch of `roots` (1 <= |roots| <= kMaxBatchWidth, duplicates

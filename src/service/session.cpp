@@ -22,7 +22,7 @@ using graph::Vertex;
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 /// Deterministic compute model for SSSP-root queries (they relax each
-/// in-component edge several times; BFS uses msbfs.sim_seconds_per_edge).
+/// in-component edge several times; BFS uses sim::kModeledSecondsPerEdge).
 constexpr double kSsspSecondsPerEdge = 8e-9;
 /// Modeled ingest seconds charged per mutation edge op (insert or delete) —
 /// the mutation feed is modeled, not measured (DESIGN.md deviations).
@@ -644,7 +644,6 @@ ServiceReport GraphSession::serve(const WorkloadConfig& workload,
           // MS-BFS sweep.
           mutate::RepairOptions ropts;
           ropts.channels = &rchan;
-          ropts.sim_seconds_per_edge = config_.msbfs.sim_seconds_per_edge;
           for (size_t k = 0; k < landmarks.size(); ++k) {
             mutate::RepairStats rs = mutate::repair_bfs(
                 ctx, part1, mb, landmarks[k],

@@ -51,6 +51,11 @@ struct TopologyParams {
   double latency_s = 2.0e-6;
 };
 
+/// Compute half of the work-counter cost model: modeled seconds per examined
+/// edge, charged by MS-BFS batches and landmark repair so the service's
+/// virtual clock never reads host wall time (docs/SERVICE.md "Determinism").
+inline constexpr double kModeledSecondsPerEdge = 2e-9;
+
 /// Static topology: mesh shape, supernode mapping and transfer-time model.
 class Topology {
  public:

@@ -543,7 +543,8 @@ TEST(GatheredFrontier, AssemblesPerRankBitmaps) {
     // Rank r's bitmap has 10*(r+1) bits with bit (7*r % size) set.
     BitVector mine(uint64_t(10 * (ctx.rank + 1)));
     mine.set(uint64_t(7 * ctx.rank) % mine.size());
-    auto g = GatheredFrontier::gather(ctx.world, mine);
+    sim::GatherBuffer<uint64_t> buf;
+    auto g = GatheredFrontier::gather(ctx.world, mine, buf);
     for (int r = 0; r < 3; ++r) {
       uint64_t size = uint64_t(10 * (r + 1));
       uint64_t set_bit = uint64_t(7 * r) % size;

@@ -7,7 +7,9 @@
 //      depths must agree exactly (the BFS tree itself may differ; depths
 //      are unique), and the tree must pass the kernel-2 validator.
 //   2. MS-BFS vs a serial re-derivation of its canonical max-global-id
-//      parent rule — exact parent-array equality, not just equivalence.
+//      parent rule — exact parent-array equality, not just equivalence —
+//      and the three 1D engines (bfs1d, MS-BFS width 1, bfsasync) against
+//      each other and that rule, before and after in-place mutation.
 //   3. A seeded randomized sweep over full-pipeline configurations
 //      (including fault plans); any failure prints a single
 //      graph500_runner command line that reproduces it.  Depth is
@@ -20,7 +22,9 @@
 // not change a single output word at any thread count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <functional>
 #include <optional>
 #include <span>
 #include <string>
@@ -28,10 +32,14 @@
 
 #include "bfs/bfs15d.hpp"
 #include "bfs/bfs1d.hpp"
+#include "bfs/bfsasync.hpp"
 #include "bfs/runner.hpp"
 #include "chip/arch.hpp"
+#include "graph/lattice.hpp"
 #include "graph/rmat.hpp"
 #include "graph/validate.hpp"
+#include "mutate/apply.hpp"
+#include "mutate/log.hpp"
 #include "partition/part15d.hpp"
 #include "partition/part1d.hpp"
 #include "service/msbfs.hpp"
@@ -189,6 +197,18 @@ std::vector<Vertex> canonical_parents(uint64_t nv,
   return parent;
 }
 
+/// Undirected adjacency lists of `edges`, self loops dropped.
+std::vector<std::vector<Vertex>> adjacency_of(uint64_t nv,
+                                              std::span<const Edge> edges) {
+  std::vector<std::vector<Vertex>> adj(nv);
+  for (const auto& e : edges) {
+    if (e.u == e.v) continue;
+    adj[size_t(e.u)].push_back(e.v);
+    adj[size_t(e.v)].push_back(e.u);
+  }
+  return adj;
+}
+
 TEST_P(MsbfsOracle, BatchParentsEqualCanonicalReference) {
   const MsbfsCase c = GetParam();
   Graph500Config cfg;
@@ -224,12 +244,7 @@ TEST_P(MsbfsOracle, BatchParentsEqualCanonicalReference) {
 
   ASSERT_EQ(roots.size(), size_t(c.width));
   auto edges = graph::generate_rmat(cfg);
-  std::vector<std::vector<Vertex>> adj(cfg.num_vertices());
-  for (const auto& e : edges) {
-    if (e.u == e.v) continue;
-    adj[size_t(e.u)].push_back(e.v);
-    adj[size_t(e.v)].push_back(e.u);
-  }
+  auto adj = adjacency_of(cfg.num_vertices(), edges);
   for (size_t q = 0; q < roots.size(); ++q) {
     auto ref = graph::reference_bfs(cfg.num_vertices(), edges, roots[q]);
     auto levels =
@@ -252,6 +267,211 @@ INSTANTIATE_TEST_SUITE_P(
         MsbfsCase{22, 10, 2, 2, 5, 1, true, true},
         MsbfsCase{23, 9, 1, 2, 16, 4, false, false},
         MsbfsCase{24, 10, 2, 1, 33, 2, true, false}));
+
+// ------------------------------- one parent rule across the 1D engines
+
+// bfs1d, MS-BFS at width 1 and bfsasync traverse the same resident 1D
+// partition, whose rows build_1d sorts by descending global id and the
+// mutation patches keep sorted.  Each takes the max-id neighbour one level
+// up as parent, so the three parent arrays are identical to each other and
+// to the serial canonical rule, on a freshly built partition and on one
+// patched in place.
+
+struct OneDCase {
+  const char* input;  // "rmat" or "torus"
+  int scale;          // R-MAT SCALE (the torus is fixed)
+  int rows, cols;
+  int threads;
+};
+
+/// Every input at every mesh (1x1, 2x2, 2x3) and thread count (1, 4).
+std::vector<OneDCase> one_d_cases() {
+  const OneDCase inputs[] = {
+      {"rmat", 10, 0, 0, 0}, {"rmat", 11, 0, 0, 0}, {"rmat", 12, 0, 0, 0},
+      {"torus", 0, 0, 0, 0}};
+  const int meshes[][2] = {{1, 1}, {2, 2}, {2, 3}};
+  std::vector<OneDCase> cases;
+  for (OneDCase c : inputs)
+    for (const auto& m : meshes)
+      for (int threads : {1, 4}) {
+        c.rows = m[0];
+        c.cols = m[1];
+        c.threads = threads;
+        cases.push_back(c);
+      }
+  return cases;
+}
+
+std::string one_d_case_name(const ::testing::TestParamInfo<OneDCase>& info) {
+  const OneDCase& c = info.param;
+  return std::string(c.input) + (c.scale > 0 ? std::to_string(c.scale) : "") +
+         "_" + std::to_string(c.rows) + "x" + std::to_string(c.cols) + "_t" +
+         std::to_string(c.threads);
+}
+
+/// The case's input graph: vertex count, per-rank slices, search roots.
+struct OneDInput {
+  uint64_t nv = 0;
+  std::function<std::vector<Edge>(uint64_t, uint64_t)> range;  // edges [lo, hi)
+  uint64_t num_edges = 0;
+  std::vector<Vertex> roots;
+
+  std::vector<Edge> slice(int rank, int nranks) const {
+    return range(num_edges * uint64_t(rank) / uint64_t(nranks),
+                 num_edges * uint64_t(rank + 1) / uint64_t(nranks));
+  }
+  std::vector<Edge> all() const { return range(0, num_edges); }
+};
+
+OneDInput one_d_input(const OneDCase& c) {
+  OneDInput in;
+  if (std::string(c.input) == "rmat") {
+    Graph500Config cfg;
+    cfg.scale = c.scale;
+    cfg.seed = 40 + uint64_t(c.scale);
+    in.nv = cfg.num_vertices();
+    in.num_edges = cfg.num_edges();
+    in.range = [cfg](uint64_t lo, uint64_t hi) {
+      return graph::generate_rmat_range(cfg, lo, hi);
+    };
+  } else {
+    // Small enough that the middle levels cross pull_ratio and pull.
+    const auto cfg = graph::LatticeConfig::torus(16, 16);
+    in.nv = cfg.num_vertices();
+    in.num_edges = cfg.num_edges();
+    in.range = [cfg](uint64_t lo, uint64_t hi) {
+      return graph::generate_lattice_range(cfg, lo, hi);
+    };
+  }
+  // Endpoints of the first edges: roots inside the giant component.
+  for (const Edge& e : in.range(0, 3)) in.roots.push_back(e.u);
+  return in;
+}
+
+/// Gathered (global-order) parents of each 1D engine from one root.
+struct OneDParents {
+  std::vector<Vertex> bfs1d, msbfs, async;
+};
+
+OneDParents run_one_d_engines(sim::RankContext& ctx,
+                              const partition::Part1d& part, Vertex root,
+                              int threads) {
+  auto gather = [&](const Vertex* p) {
+    return ctx.world.allgatherv(
+        std::span<const Vertex>(p, part.space.count(ctx.rank)));
+  };
+  bfs::Bfs1dOptions o1;
+  o1.threads_per_rank = threads;
+  service::MsbfsOptions om;
+  om.threads_per_rank = threads;
+  bfs::BfsAsyncOptions oa;
+  oa.threads_per_rank = threads;
+  const Vertex roots[1] = {root};
+  OneDParents got;
+  got.bfs1d = gather(bfs::bfs1d_run(ctx, part, root, o1).parent.data());
+  got.msbfs = gather(service::msbfs_run(ctx, part, roots, om).parent.data());
+  got.async = gather(bfs::bfsasync_run(ctx, part, root, oa).parent.data());
+  return got;
+}
+
+/// Every row of the partition is non-increasing.
+bool rows_descending(const partition::Part1d& part) {
+  for (uint64_t r = 0; r < part.adj.num_rows(); ++r) {
+    auto nb = part.adj.neighbors(r);
+    if (!std::is_sorted(nb.begin(), nb.end(), std::greater<Vertex>()))
+      return false;
+  }
+  return true;
+}
+
+/// Runs the three engines from every root of `in` on each rank's 1D
+/// partition, after `patch` (may be a no-op) has mutated it; checks the
+/// rows stay descending and returns the rank-0 parents per root.
+std::vector<OneDParents> one_d_parents(
+    const OneDCase& c, const OneDInput& in,
+    const std::function<void(sim::RankContext&, partition::Part1d&)>& patch) {
+  sim::MeshShape mesh{c.rows, c.cols};
+  partition::VertexSpace space{in.nv, mesh.ranks()};
+  std::vector<OneDParents> out;
+  std::vector<int> sorted(size_t(mesh.ranks()), 0);
+  sim::run_spmd(mesh, [&](sim::RankContext& ctx) {
+    auto part = partition::build_1d(ctx, space, in.slice(ctx.rank,
+                                                         ctx.nranks()));
+    patch(ctx, part);
+    sorted[size_t(ctx.rank)] = rows_descending(part);
+    std::vector<OneDParents> got;
+    for (Vertex root : in.roots)
+      got.push_back(run_one_d_engines(ctx, part, root, c.threads));
+    if (ctx.rank == 0) out = std::move(got);
+  });
+  for (int r = 0; r < mesh.ranks(); ++r)
+    EXPECT_TRUE(sorted[size_t(r)]) << "rank " << r << " holds an unsorted row";
+  return out;
+}
+
+void expect_one_parent_rule(const OneDInput& in, std::span<const Edge> edges,
+                            const std::vector<OneDParents>& got) {
+  ASSERT_EQ(got.size(), in.roots.size());
+  auto adj = adjacency_of(in.nv, edges);
+  for (size_t i = 0; i < in.roots.size(); ++i) {
+    const Vertex root = in.roots[i];
+    auto levels = graph::levels_from_parents(
+        in.nv, graph::reference_bfs(in.nv, edges, root), root);
+    auto want = canonical_parents(in.nv, adj, levels, root);
+    for (uint64_t v = 0; v < in.nv; ++v) {
+      ASSERT_EQ(got[i].bfs1d[v], want[v]) << "bfs1d, root " << root
+                                          << " vertex " << v;
+      ASSERT_EQ(got[i].msbfs[v], want[v]) << "msbfs, root " << root
+                                          << " vertex " << v;
+      ASSERT_EQ(got[i].async[v], want[v]) << "bfsasync, root " << root
+                                          << " vertex " << v;
+    }
+  }
+}
+
+class OneDParentRule : public ::testing::TestWithParam<OneDCase> {};
+
+TEST_P(OneDParentRule, EnginesReturnIdenticalParents) {
+  const OneDInput in = one_d_input(GetParam());
+  auto got = one_d_parents(GetParam(), in,
+                           [](sim::RankContext&, partition::Part1d&) {});
+  expect_one_parent_rule(in, in.all(), got);
+}
+
+// Inserts into the zero-slack rows of a fresh build compact the CSR; a
+// forced compact and a second batch follow.  Rows must stay descending and
+// the engines must still agree on the mutated graph.
+TEST_P(OneDParentRule, EnginesAgreeAfterMutation) {
+  const OneDInput in = one_d_input(GetParam());
+  const std::vector<Edge> base = in.all();
+  mutate::MutationLogConfig lc;
+  lc.seed = 17;
+  lc.inserts_per_batch = 48;
+  lc.deletes_per_batch = 48;
+  mutate::MutationLog reference(lc, in.nv, base);
+  reference.generate_next();
+  reference.generate_next();
+
+  std::vector<mutate::ApplyStats> stats(
+      size_t(GetParam().rows * GetParam().cols));
+  auto got = one_d_parents(
+      GetParam(), in, [&](sim::RankContext& ctx, partition::Part1d& part) {
+        mutate::MutationLog log(lc, in.nv, base);
+        auto& s = stats[size_t(ctx.rank)];
+        s.merge(mutate::apply_batch_1d(ctx.rank, part, log.generate_next()));
+        part.adj.compact();
+        s.merge(mutate::apply_batch_1d(ctx.rank, part, log.generate_next()));
+      });
+  mutate::ApplyStats total;
+  for (const auto& s : stats) total.merge(s);
+  EXPECT_GT(total.inserted_arcs, 0u);
+  EXPECT_GT(total.deleted_arcs, 0u);
+  EXPECT_GT(total.compactions, 0u);
+  expect_one_parent_rule(in, reference.snapshot(), got);
+}
+
+INSTANTIATE_TEST_SUITE_P(SeededConfigs, OneDParentRule,
+                         ::testing::ValuesIn(one_d_cases()), one_d_case_name);
 
 // ----------------------------- MS-BFS recovery vs the canonical oracle
 
@@ -340,12 +560,7 @@ TEST_P(MsbfsFaultOracle, RecoveredParentsEqualCanonicalReference) {
   if (c.kind != sim::FaultKind::Straggler) EXPECT_GE(totals.recovered, 1u);
 
   auto edges = graph::generate_rmat(cfg);
-  std::vector<std::vector<Vertex>> adj(cfg.num_vertices());
-  for (const auto& e : edges) {
-    if (e.u == e.v) continue;
-    adj[size_t(e.u)].push_back(e.v);
-    adj[size_t(e.v)].push_back(e.u);
-  }
+  auto adj = adjacency_of(cfg.num_vertices(), edges);
   ASSERT_EQ(roots.size(), size_t(width));
   for (size_t q = 0; q < roots.size(); ++q) {
     auto ref = graph::reference_bfs(cfg.num_vertices(), edges, roots[q]);
