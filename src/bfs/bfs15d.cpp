@@ -404,6 +404,11 @@ class Engine {
   // claims are atomic bit sets, so the set of claimed vertices and the final
   // parent values depend only on the (deterministic) candidate sets, not on
   // thread interleaving: output is bit-identical at every threads_per_rank.
+  //
+  // A message to yourself is applied in place: every push and pull that
+  // stages messages (H2L, L2H, L2L, the parent delivery) calls the
+  // receiver's primitive directly for a destination that is this rank, so
+  // the exchanges carry only remote traffic.
 
   /// Record an L visit claim; the claim is committed by commit_l_claims().
   void visit_local_l_mt(uint64_t lloc, Vertex parent) {
@@ -575,10 +580,14 @@ class Engine {
           dedup_l_.for_each_set_words(lo, hi, [&](size_t l) {
             Vertex lv = Vertex(l);
             int owner = part_.space.owner(lv);
-            staging.push(
-                lane, size_t(mesh_.col_of(owner)),
-                CompactMsg{uint32_t(part_.space.to_local(owner, lv)),
-                           uint32_t(push_cand_[l])});
+            uint64_t lloc = part_.space.to_local(owner, lv);
+            if (owner == ctx_.rank)
+              visit_local_l_mt(lloc, part_.cls.eh_to_global(
+                                         uint64_t(push_cand_[l])));
+            else
+              staging.push(lane, size_t(mesh_.col_of(owner)),
+                           CompactMsg{uint32_t(lloc),
+                                      uint32_t(push_cand_[l])});
             push_cand_[l] = kNoVertex;  // leave the pool clean for next use
           });
         });
@@ -601,8 +610,11 @@ class Engine {
             if (row_visited.get(int(col), lloc)) continue;
             for (Vertex h : part_.h2l_by_l.neighbors(rl)) {
               if (eh_curr_.get(uint64_t(h))) {
-                staging.push(lane, col,
-                             CompactMsg{uint32_t(lloc), uint32_t(h)});
+                if (col == size_t(my_col_))
+                  visit_local_l_mt(lloc, part_.cls.eh_to_global(uint64_t(h)));
+                else
+                  staging.push(lane, col,
+                               CompactMsg{uint32_t(lloc), uint32_t(h)});
                 break;  // early exit: one message per vertex
               }
             }
@@ -641,9 +653,12 @@ class Engine {
                                                size_t hi) {
           dedup_eh_.for_each_set_words(lo, hi, [&](size_t h) {
             int col = mesh_.col_of(part_.eh_space.owner(Vertex(h)));
-            staging.push(lane, size_t(col),
-                         CompactMsg{uint32_t(h),
-                                    uint32_t(push_cand_eh_[h])});
+            if (col == my_col_)
+              visit_eh_mt(h, local_to_global(uint64_t(push_cand_eh_[h])));
+            else
+              staging.push(lane, size_t(col),
+                           CompactMsg{uint32_t(h),
+                                      uint32_t(push_cand_eh_[h])});
             push_cand_eh_[h] = kNoVertex;
           });
         });
@@ -765,8 +780,9 @@ class Engine {
     auto mine = ctx_.world.reduce_scatter_block(
         std::span<const Vertex>(contrib), block,
         [](Vertex a, Vertex b) { return std::max(a, b); });
-    // Deliver reduced parents to the owners of the original vertex ids
-    // (destination vertices are unique, so receiver writes are race-free).
+    // Deliver reduced parents to the owners of the original vertex ids,
+    // this rank's own in place (destination vertices are unique, so the
+    // writes are race-free).
     auto& staging = ws_.visits();
     staging.begin_world(pool_.size());
     par_ranges(size_t(part_.eh_space.count(ctx_.rank)),
@@ -775,8 +791,11 @@ class Engine {
         if (mine[i] == kNoVertex) continue;
         Vertex g = part_.cls.eh_to_global(
             uint64_t(part_.eh_space.to_global(ctx_.rank, i)));
-        staging.push(lane, size_t(part_.space.owner(g)),
-                     VisitMsg{g, mine[i]});
+        int owner = part_.space.owner(g);
+        if (owner == ctx_.rank)
+          parent_[part_.space.to_local(owner, g)] = mine[i];
+        else
+          staging.push(lane, size_t(owner), VisitMsg{g, mine[i]});
       }
     });
     auto got = staging.exchange(ctx_.world, pool_);

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <stdexcept>
 
@@ -23,24 +22,23 @@ class AbortError : public std::runtime_error {
 ///    returns: arrivals are acq_rel increments of one counter, the last
 ///    arrival publishes the next generation with a release store to the
 ///    phase word, and waiters read it with acquire.
-///  * **Spin rule.**  A waiter first spins on the phase word (`pause`, with
-///    a `yield` every few hundred spins) for at most kSpinTime, then sleeps
-///    in std::atomic::wait (a futex).  It spins only when every thread of
-///    the run the group belongs to fits the CPUs the process may run on
-///    (sched_getaffinity at construction), so a waiter never burns the core
-///    a late peer, or another group's thread, needs; the last arrival's
-///    notify_all costs no syscall when nobody sleeps.  A group of one never
-///    blocks.
+///  * **Spin rule.**  A waiter waits on the phase word with
+///    spin::wait_while_equal (support/spin.hpp): it spins for at most
+///    spin::kSpinTime, then sleeps on the futex.  It spins only when every
+///    rank thread of the run the group belongs to fits the CPUs the process
+///    may run on (sched_getaffinity at construction), so a waiter never
+///    burns the core a late peer, or another group's thread, needs; the
+///    last arrival's notify_all costs no syscall when nobody sleeps.  A
+///    group of one never blocks.
 ///  * **Abort.**  abort() sets the abort bit of the phase word and wakes
 ///    every sleeper.  Each waiter whose generation has not completed throws
 ///    AbortError, as does every later wait(); a waiter whose generation
 ///    completed before the abort returns normally and throws at its next
-///    wait.
+///    wait.  wait_through_abort() is the exception: it ends a read phase,
+///    which every participant of a completed crossing reaches, so it
+///    always waits for every participant, aborted or not.
 class Barrier {
  public:
-  /// Longest a waiter spins before it sleeps on the futex.
-  static constexpr std::chrono::microseconds kSpinTime{50};
-
   /// `participants` threads rendezvous here; `run_threads` (at least
   /// `participants`) is how many threads of the run, this group's and
   /// other groups', compete for the CPUs.
@@ -50,12 +48,22 @@ class Barrier {
   /// or is called while waiting.
   void wait();
 
+  /// Block until all participants arrive, even after abort().  Ends a
+  /// collective's read phase: a participant unwinding on abort must not
+  /// free its published buffer while a peer still reads it.
+  void wait_through_abort();
+
   /// Wake all waiters with AbortError and make future waits throw.
   void abort();
 
  private:
   /// Low bit of phase_; the generation counts up in steps of two above it.
   static constexpr uint32_t kAborted = 1;
+
+  /// Arrive for generation `gen` and wait for it.  Returns whether the
+  /// generation completed; an abort ends the wait early unless
+  /// `through_abort`.
+  bool arrive(uint32_t gen, bool through_abort);
 
   // Arrivals and waiters touch separate cache lines, so spinning waiters
   // are not invalidated by every arrival.

@@ -37,7 +37,7 @@
 ///    reduce_scatter_block, broadcast) publish raw pointers and receivers
 ///    memcpy out of them, so their buffers must stay live and unmodified
 ///    until the closing barrier, which every rank crosses before the
-///    collective returns.
+///    collective returns or unwinds, even when the run is aborting.
 ///  * **Accounting.**  Every collective records into the rank's CommStats:
 ///    payload bytes (split intra/inter-supernode), modeled network seconds
 ///    from the Topology cost model (identical on every participating rank —
@@ -500,26 +500,25 @@ class Comm {
 
  private:
   /// A data collective's read phase: from its first barrier to the next,
-  /// ranks read each other's published buffers.  A rank whose read throws
-  /// (a detected fault, a size check) still waits at the next barrier before
-  /// unwinding, so no peer reads a buffer its owner has already freed.
+  /// ranks read each other's published buffers.  The closing barrier waits
+  /// for every participant even when the run is aborting (another group's
+  /// rank failed), and a rank whose read throws (a detected fault, a size
+  /// check) still crosses it before unwinding, so no peer reads a buffer
+  /// its owner has already freed.  An abort surfaces at the next barrier.
   class ReadPhase {
    public:
     explicit ReadPhase(Comm& comm) : comm_(comm) {}
     ReadPhase(const ReadPhase&) = delete;
     ReadPhase& operator=(const ReadPhase&) = delete;
     ~ReadPhase() {
-      if (ended_) return;
-      try {
-        comm_.cross();
-      } catch (const AbortError&) {
-        // The run is already aborting; the peers have stopped reading.
-      }
+      if (!ended_) end();
     }
     /// The barrier that ends the read phase.
     void end() {
       ended_ = true;
-      comm_.cross();
+      WallTimer w;
+      comm_.shared_->barrier.wait_through_abort();
+      comm_.wait_s_ += w.seconds();
     }
 
    private:

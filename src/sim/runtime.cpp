@@ -6,6 +6,7 @@
 #include "obs/trace.hpp"
 #include "support/check.hpp"
 #include "support/log.hpp"
+#include "support/spin.hpp"
 
 namespace sunbfs::sim {
 
@@ -65,6 +66,8 @@ SpmdReport run_spmd(const Topology& topology,
     // lifetime.  Buffers are keyed by global rank, so sequential run_spmd
     // calls extend one per-rank timeline.
     obs::AttachThread trace_attach(rank);
+    // Pools built in the body count every rank thread in their spin rule.
+    spin::RankThreadsScope rank_threads{size_t(nranks)};
     obs::Span span("spmd", "rank_body", rank);
     try {
       body(ctx);

@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "support/check.hpp"
+#include "support/spin.hpp"
 
 namespace sunbfs {
 
@@ -25,22 +26,21 @@ struct CurrentPoolScope {
 ThreadPool::ThreadPool(size_t threads) {
   if (threads == 0) threads = std::thread::hardware_concurrency();
   if (threads == 0) threads = 1;
+  spin_ = spin::spin_fits(spin::rank_threads(), threads, spin::affinity_cpus());
   // The caller participates in every batch, so spawn threads-1 workers.
   for (size_t i = 0; i + 1 < threads; ++i)
     workers_.emplace_back([this] { worker_loop(); });
 }
 
 ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    stop_ = true;
-  }
-  cv_start_.notify_all();
+  stop_.store(true, std::memory_order_relaxed);
+  epoch_.fetch_add(1, std::memory_order_release);
+  epoch_.notify_all();
   for (auto& t : workers_) t.join();
 }
 
 void ThreadPool::record_error(size_t chunk) {
-  std::lock_guard<std::mutex> lk(mu_);
+  std::lock_guard<std::mutex> lk(error_mu_);
   if (!error_ || chunk < error_chunk_) {
     error_ = std::current_exception();
     error_chunk_ = chunk;
@@ -48,36 +48,36 @@ void ThreadPool::record_error(size_t chunk) {
 }
 
 void ThreadPool::worker_loop() {
-  uint64_t seen_epoch = 0;
+  CurrentPoolScope scope(this);
+  uint32_t seen = 0;
   for (;;) {
-    const std::function<void(size_t)>* job = nullptr;
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      cv_start_.wait(lk, [&] { return stop_ || epoch_ != seen_epoch; });
-      if (stop_) return;
-      seen_epoch = epoch_;
-      job = job_;
+    seen = spin::wait_while_equal(epoch_, seen, spin_);
+    if (stop_.load(std::memory_order_relaxed)) return;
+    drain(seen);
+  }
+}
+
+void ThreadPool::drain(uint32_t tag) {
+  uint64_t word = claim_.load(std::memory_order_acquire);
+  for (;;) {
+    const uint32_t unclaimed = uint32_t(word);
+    if (uint32_t(word >> 32) != tag || unclaimed == 0) return;
+    if (!claim_.compare_exchange_weak(word, word - 1,
+                                      std::memory_order_acquire))
+      continue;
+    // The claim succeeded under this batch's tag, so the batch is still
+    // running and its job slots are the ones published with the tag.
+    const size_t nchunks = job_chunks_;
+    const size_t chunk = nchunks - unclaimed;
+    try {
+      (*job_)(chunk);
+    } catch (...) {
+      record_error(chunk);
     }
-    {
-      CurrentPoolScope scope(this);
-      for (;;) {
-        size_t chunk;
-        {
-          std::lock_guard<std::mutex> lk(mu_);
-          if (next_chunk_ >= job_chunks_) break;
-          chunk = next_chunk_++;
-        }
-        try {
-          (*job)(chunk);
-        } catch (...) {
-          record_error(chunk);
-        }
-      }
-    }
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      if (--pending_ == 0) cv_done_.notify_all();
-    }
+    // After the last increment the caller may return and reuse every slot.
+    if (done_.fetch_add(1, std::memory_order_acq_rel) + 1 == nchunks)
+      done_.notify_all();
+    word = claim_.load(std::memory_order_acquire);
   }
 }
 
@@ -91,50 +91,34 @@ void ThreadPool::run_inline(size_t nchunks,
 void ThreadPool::run_chunks(size_t nchunks,
                             const std::function<void(size_t)>& fn) {
   if (nchunks == 0) return;
-  if (workers_.empty() || tls_current_pool == this) {
+  if (nchunks == 1 || workers_.empty() || tls_current_pool == this) {
     run_inline(nchunks, fn);
     return;
   }
-  // The dispatch slots below hold one job; a second outside caller would
-  // overwrite the first's job, chunk count and pending count.
+  SUNBFS_CHECK(nchunks <= std::numeric_limits<uint32_t>::max());
+  // The job slots below hold one batch; a second outside caller would
+  // overwrite the first's job and chunk count.
   std::lock_guard<std::mutex> serial(caller_mu_);
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    job_ = &fn;
-    job_chunks_ = nchunks;
-    next_chunk_ = 0;
-    pending_ = workers_.size();
-    error_ = nullptr;
-    error_chunk_ = std::numeric_limits<size_t>::max();
-    ++epoch_;
-  }
-  cv_start_.notify_all();
-  // Caller participates.
+  job_ = &fn;
+  job_chunks_ = nchunks;
+  error_ = nullptr;
+  error_chunk_ = std::numeric_limits<size_t>::max();
+  done_.store(0, std::memory_order_relaxed);
+  const uint32_t tag = epoch_.load(std::memory_order_relaxed) + 1;
+  claim_.store(uint64_t(tag) << 32 | nchunks, std::memory_order_release);
+  epoch_.store(tag, std::memory_order_release);
+  epoch_.notify_all();
   {
     CurrentPoolScope scope(this);
-    for (;;) {
-      size_t chunk;
-      {
-        std::lock_guard<std::mutex> lk(mu_);
-        if (next_chunk_ >= job_chunks_) break;
-        chunk = next_chunk_++;
-      }
-      try {
-        fn(chunk);
-      } catch (...) {
-        record_error(chunk);
-      }
-    }
+    drain(tag);
   }
-  {
-    std::unique_lock<std::mutex> lk(mu_);
-    cv_done_.wait(lk, [&] { return pending_ == 0; });
-    job_ = nullptr;
-    if (error_) {
-      auto err = error_;
-      error_ = nullptr;
-      std::rethrow_exception(err);
-    }
+  uint32_t done = done_.load(std::memory_order_acquire);
+  while (done != nchunks) done = spin::wait_while_equal(done_, done, spin_);
+  job_ = nullptr;
+  if (error_) {
+    auto err = error_;
+    error_ = nullptr;
+    std::rethrow_exception(err);
   }
 }
 

@@ -1,8 +1,9 @@
 #pragma once
 
-#include <condition_variable>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -17,11 +18,31 @@ namespace sunbfs {
 
 /// Fixed-size thread pool executing indexed task batches.
 ///
+/// Dispatch is a fork/join over three atomic words, no mutex on the hot
+/// path:
+///  - Fork: the caller publishes the job, stores (batch tag, chunk count)
+///    into the claim word, bumps the epoch word and wakes sleepers.  Workers
+///    wait on the epoch word with spin::wait_while_equal (support/spin.hpp):
+///    they spin for at most spin::kSpinTime, then sleep on the futex.
+///  - Claim: every participant, caller included, takes chunks in ascending
+///    order by a compare-exchange that decrements the unclaimed count of
+///    the claim word only while its tag is still the batch's.  A successful
+///    claim therefore proves the batch has an unfinished chunk, so a late
+///    worker can never run a chunk of a batch whose run_chunks returned.
+///  - Join: the caller waits for the batch's *chunks* to finish (a done
+///    counter), not for every worker to check in; when the caller ran every
+///    chunk itself it returns at once.
+///  - Spin rule: waiters spin only when spin::spin_fits holds for the SPMD
+///    run the constructing thread is a rank of (spin::rank_threads()) and
+///    this pool's width; otherwise they go straight to the futex.
+///
 /// Guarantees (see tests/test_support.cpp, ctest -L tsan):
 ///  - Exceptions: when chunks throw, the exception from the *lowest-indexed*
 ///    throwing chunk propagates to the caller, regardless of scheduling
 ///    order — so a failing parallel loop reports the same error at any
 ///    thread count.
+///  - Inline: a batch of one chunk, and every batch of a one-thread pool,
+///    runs on the calling thread without waking a worker.
 ///  - Re-entrancy: calling run_chunks / parallel_for from inside a chunk of
 ///    the same pool degrades to inline execution on the calling thread
 ///    instead of deadlocking on the dispatch protocol.
@@ -58,22 +79,30 @@ class ThreadPool {
  private:
   void worker_loop();
   void run_inline(size_t nchunks, const std::function<void(size_t)>& fn);
+  /// Claim and run chunks of batch `tag` until it has none left unclaimed.
+  void drain(uint32_t tag);
   void record_error(size_t chunk);
 
-  std::vector<std::thread> workers_;
+  /// Waiters may spin (spin::spin_fits at construction).
+  bool spin_ = false;
   /// Held by the outside caller for a whole batch: one job at a time.
   std::mutex caller_mu_;
-  std::mutex mu_;
-  std::condition_variable cv_start_;
-  std::condition_variable cv_done_;
+  /// The batch's job; written before the claim word is published and read
+  /// only after a successful claim, so it is stable while anyone reads it.
   const std::function<void(size_t)>* job_ = nullptr;
   size_t job_chunks_ = 0;
-  size_t next_chunk_ = 0;
-  size_t pending_ = 0;
-  uint64_t epoch_ = 0;
-  bool stop_ = false;
+  /// (batch tag << 32) | chunks not yet claimed.
+  alignas(64) std::atomic<uint64_t> claim_{0};
+  /// Batch tag workers sleep on; also bumped once by the destructor.
+  alignas(64) std::atomic<uint32_t> epoch_{0};
+  /// Chunks of the current batch that have finished.
+  alignas(64) std::atomic<uint32_t> done_{0};
+  std::atomic<bool> stop_{false};
+  std::mutex error_mu_;
   std::exception_ptr error_;
   size_t error_chunk_ = 0;
+  /// Declared after every member the workers touch.
+  std::vector<std::thread> workers_;
 };
 
 /// Resolve the intra-rank worker-thread count for one rank of an nranks-wide

@@ -617,6 +617,78 @@ TEST(EncodingBitIdentity, ParentsAndDepthsIdenticalOnAndOff) {
   }
 }
 
+// ------------------------------- 1.5D self-delivery
+
+// The 1.5D engine applies every message addressed to its own rank in place
+// instead of staging it (bfs15d.cpp).  Parents must not move: the values
+// below were pinned from the engine that still staged self traffic.
+uint64_t parent_checksum(std::span<const Vertex> parent) {
+  uint64_t h = 1469598103934665603ull;  // FNV-1a over every parent word
+  for (Vertex p : parent) {
+    h ^= uint64_t(p);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+TEST(SelfDelivery15d, ParentsEqualPinnedValuesAtEveryShapeAndWidth) {
+  struct Pin {
+    int scale, rows, cols;
+    uint64_t checksum;
+  };
+  const Pin pins[] = {
+      {12, 1, 1, 1563537233804835887ull},
+      {12, 1, 2, 1996494107671278732ull},
+      {12, 2, 2, 5042509656187836668ull},
+      {12, 2, 3, 3512858748038564794ull},
+      {14, 1, 1, 4493961556661606115ull},
+      {14, 1, 2, 15394845622418228527ull},
+      {14, 2, 2, 10989127064905534956ull},
+      {14, 2, 3, 6520894626536606367ull},
+  };
+  for (const Pin& pin : pins) {
+    Graph500Config cfg;
+    cfg.scale = pin.scale;
+    cfg.seed = 5;
+    const Vertex root = pick_root(cfg);
+    for (int threads : {1, 2, 4})
+      EXPECT_EQ(parent_checksum(run_15d(cfg, {pin.rows, pin.cols}, root,
+                                        threads, true)),
+                pin.checksum)
+          << "SCALE " << pin.scale << " " << pin.rows << "x" << pin.cols
+          << " threads " << threads;
+  }
+}
+
+TEST(SelfDelivery15d, OneRankSearchStagesNoAlltoallvMessage) {
+  // At 1x1 every exchange is to self, so nothing is staged or encoded;
+  // the exchanges still run (empty), so call counts, and with them fault
+  // call indices, equal the staging engine's.
+  Graph500Config cfg;
+  cfg.scale = 12;
+  cfg.seed = 5;
+  const Vertex root = pick_root(cfg);
+  partition::VertexSpace space{cfg.num_vertices(), 1};
+  sim::run_spmd(sim::MeshShape{1, 1}, [&](sim::RankContext& ctx) {
+    auto slice = slice_of(cfg, 0, 1);
+    auto deg = partition::compute_local_degrees(ctx, space, slice);
+    auto part = partition::build_15d(ctx, space, slice, deg, {128, 32});
+    bfs::Bfs15dOptions opts;
+    opts.threads_per_rank = 2;
+    ctx.stats.reset();
+    bfs::bfs15d_run(ctx, part, root, opts);
+    uint64_t staged = 0;
+    for (int c = 0; c < sim::kWireCodecCount; ++c)
+      staged += ctx.stats
+                    .encoding_entry(sim::CollectiveType::Alltoallv,
+                                    sim::WireCodec(c))
+                    .messages;
+    EXPECT_EQ(staged, 0u);
+    EXPECT_EQ(ctx.stats.entry(sim::CollectiveType::Alltoallv).calls, 10u);
+    EXPECT_EQ(ctx.stats.entry(sim::CollectiveType::Allgather).calls, 8u);
+  });
+}
+
 // --------------------------------------- seeded randomized sweep
 
 uint64_t env_u64(const char* name, uint64_t fallback) {

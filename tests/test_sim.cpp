@@ -15,6 +15,7 @@
 #include "sim/exchange_channel.hpp"
 #include "sim/runtime.hpp"
 #include "support/check.hpp"
+#include "support/spin.hpp"
 #include "support/thread_pool.hpp"
 
 namespace sunbfs::sim {
@@ -296,7 +297,7 @@ TEST(Barrier, ManyIterationsStayInSync) {
 TEST(Barrier, AbortWakesSpinningAndSleepingWaiters) {
   // The main thread aborts right after the waiter enters wait() (it is
   // still spinning when the group fits the CPUs) and after a sleep far past
-  // Barrier::kSpinTime (it is asleep on the futex); either way the waiter
+  // spin::kSpinTime (it is asleep on the futex); either way the waiter
   // throws, and so does every later wait.
   for (auto delay : {std::chrono::milliseconds(0),
                      std::chrono::milliseconds(20)}) {
@@ -320,6 +321,29 @@ TEST(Barrier, AbortWakesSpinningAndSleepingWaiters) {
   }
 }
 
+TEST(Barrier, ReadPhaseEndWaitsForEveryPeerThroughAbort) {
+  // A rank leaving a collective's read phase while another group aborts
+  // the run must not unwind (and free its published buffer) before every
+  // peer has finished reading: wait_through_abort returns only once all
+  // participants arrived, and the abort surfaces at the next wait.
+  Barrier barrier(2, 2);
+  std::atomic<bool> reader_done{false};
+  std::atomic<bool> left_early{false};
+  std::thread owner([&] {
+    barrier.wait_through_abort();
+    if (!reader_done.load()) left_early.store(true);
+    EXPECT_THROW(barrier.wait(), AbortError);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  barrier.abort();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // reading
+  reader_done.store(true);
+  barrier.wait_through_abort();
+  owner.join();
+  EXPECT_FALSE(left_early.load());
+  EXPECT_THROW(barrier.wait(), AbortError);
+}
+
 TEST(Barrier, SingleParticipantNeverBlocks) {
   Barrier barrier(1, 1);
   for (int i = 0; i < 1000; ++i) barrier.wait();
@@ -329,6 +353,19 @@ TEST(Barrier, SingleParticipantNeverBlocks) {
   });
   barrier.abort();
   EXPECT_THROW(barrier.wait(), AbortError);
+}
+
+TEST(Spmd, RankBodiesCountEveryRankThreadForTheSpinRule) {
+  // A pool built inside a rank body must weigh its width against all the
+  // run's rank threads (spin::spin_fits), on the one-rank inline path too.
+  for (MeshShape mesh : {MeshShape{1, 1}, MeshShape{2, 2}, MeshShape{2, 3}}) {
+    std::atomic<int> wrong{0};
+    run_spmd(mesh, [&](RankContext& ctx) {
+      if (spin::rank_threads() != size_t(ctx.nranks())) wrong.fetch_add(1);
+    });
+    EXPECT_EQ(wrong.load(), 0) << mesh.rows << "x" << mesh.cols;
+  }
+  EXPECT_EQ(spin::rank_threads(), 1u);
 }
 
 TEST(Collectives, MixedStressChecksEveryResult) {

@@ -15,6 +15,7 @@
 #include "support/histogram.hpp"
 #include "support/prefix.hpp"
 #include "support/random.hpp"
+#include "support/spin.hpp"
 #include "support/thread_pool.hpp"
 #include "support/timer.hpp"
 
@@ -308,6 +309,78 @@ TEST(ThreadPool, ReentrantParallelForRunsInline) {
   std::atomic<int> n{0};
   pool.run_chunks(5, [&](size_t) { n.fetch_add(1); });
   EXPECT_EQ(n.load(), 5);
+}
+
+TEST(ThreadPool, SingleChunkBatchRunsOnCaller) {
+  // A one-chunk batch has nothing to share: it must not wake a worker.
+  ThreadPool pool(4);
+  const auto caller = std::this_thread::get_id();
+  std::thread::id ran_on;
+  pool.run_chunks(1, [&](size_t) { ran_on = std::this_thread::get_id(); });
+  EXPECT_EQ(ran_on, caller);
+  ran_on = {};
+  pool.parallel_for(7, 8, [&](size_t, size_t) {
+    ran_on = std::this_thread::get_id();
+  });
+  EXPECT_EQ(ran_on, caller);
+}
+
+TEST(ThreadPool, BackToBackTwoChunkBatchesRunEachChunkOnce) {
+  // The rank engines' common shape: many tiny two-chunk batches in a row,
+  // where workers are often still finishing the previous batch's claim
+  // loop when the next one is published.
+  ThreadPool pool(2);
+  uint64_t bad = 0;
+  for (int batch = 0; batch < 200000; ++batch) {
+    std::atomic<int> ran[2] = {0, 0};
+    pool.run_chunks(2, [&](size_t c) {
+      ran[c].fetch_add(1, std::memory_order_relaxed);
+    });
+    bad += uint64_t(ran[0].load() != 1) + uint64_t(ran[1].load() != 1);
+  }
+  EXPECT_EQ(bad, 0u);
+}
+
+TEST(ThreadPool, NoChunkRunsAfterItsBatchReturned) {
+  // Each batch's functor checks that the generation living on the caller's
+  // stack for this batch is still the live one; a worker running a chunk
+  // of a batch whose run_chunks already returned would see it retired.
+  ThreadPool pool(4);
+  std::atomic<uint64_t> stale{0};
+  for (uint64_t gen = 1; gen <= 20000; ++gen) {
+    std::atomic<uint64_t> mine{gen};
+    pool.run_chunks(1 + gen % 4, [&mine, &stale, gen](size_t) {
+      if (mine.load(std::memory_order_relaxed) != gen)
+        stale.fetch_add(1, std::memory_order_relaxed);
+    });
+    mine.store(0, std::memory_order_relaxed);
+  }
+  EXPECT_EQ(stale.load(), 0u);
+}
+
+TEST(Spin, RankThreadsTimesWidthAboveCpusNeverSpins) {
+  EXPECT_TRUE(spin::spin_fits(1, 1, 1));
+  EXPECT_TRUE(spin::spin_fits(1, 2, 4));
+  EXPECT_TRUE(spin::spin_fits(2, 2, 4));
+  EXPECT_TRUE(spin::spin_fits(4, 1, 4));
+  EXPECT_FALSE(spin::spin_fits(4, 2, 4));   // 2x2 mesh, 2 threads per rank
+  EXPECT_FALSE(spin::spin_fits(1, 4, 1));   // one CPU, a 4-wide pool
+  EXPECT_FALSE(spin::spin_fits(16, 1, 4));  // more rank threads than CPUs
+  EXPECT_GE(spin::affinity_cpus(), 1u);
+}
+
+TEST(Spin, RankThreadsScopeNestsAndRestores) {
+  EXPECT_EQ(spin::rank_threads(), 1u);
+  {
+    spin::RankThreadsScope outer{4};
+    EXPECT_EQ(spin::rank_threads(), 4u);
+    {
+      spin::RankThreadsScope inner{6};
+      EXPECT_EQ(spin::rank_threads(), 6u);
+    }
+    EXPECT_EQ(spin::rank_threads(), 4u);
+  }
+  EXPECT_EQ(spin::rank_threads(), 1u);
 }
 
 TEST(ThreadPool, ResolveThreadsPerRank) {
