@@ -28,6 +28,7 @@
 
 #include "bench/common.hpp"
 #include "bfs/engine.hpp"
+#include "bfs/workspace.hpp"
 #include "graph/lattice.hpp"
 #include "graph/rmat.hpp"
 #include "partition/classify.hpp"
@@ -71,11 +72,14 @@ Meas run_engine(sim::MeshShape mesh, uint64_t nv, graph::Vertex root,
   sim::run_spmd(sim::Topology(mesh), [&](sim::RankContext& ctx) {
     auto slice = slice_fn(ctx.rank, ctx.nranks());
     auto degrees = partition::compute_local_degrees(ctx, space, slice);
+    // One workspace per rank: the partition build and every repeat run on
+    // its two-thread pool.
+    bfs::BfsWorkspace ws(2);
     bfs::EngineConfig ecfg;
     ecfg.kind = kind;
-    ecfg.bfs15.threads_per_rank = 2;
-    ecfg.bfs1d.threads_per_rank = 2;
-    ecfg.async.threads_per_rank = 2;
+    ecfg.bfs15.workspace = &ws;
+    ecfg.bfs1d.workspace = &ws;
+    ecfg.async.workspace = &ws;
     auto engine = bfs::make_engine(ctx, space, slice, degrees, ecfg);
 
     // The traversal is deterministic, so every repeat moves the same

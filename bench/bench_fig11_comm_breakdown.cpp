@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
 
   std::printf("%6s | %8s %10s %10s %10s %10s %10s %10s\n", "ranks", "compute",
               "imbalance", "alltoallv", "allgather", "reduce_sc", "allreduce",
-              "broadcast");
+              "barrier");
 
   for (size_t i = 0; i < meshes.size(); ++i) {
     bfs::RunnerConfig cfg;

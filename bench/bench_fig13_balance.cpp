@@ -33,12 +33,13 @@ int main(int argc, char** argv) {
 
   partition::BalanceReport report;
   sim::run_spmd(mesh, [&](sim::RankContext& ctx) {
+    ThreadPool pool(resolve_threads_per_rank(0, size_t(ctx.nranks())));
     uint64_t m = cfg.num_edges();
     auto slice = graph::generate_rmat_range(
         cfg, m * uint64_t(ctx.rank) / uint64_t(ctx.nranks()),
-        m * uint64_t(ctx.rank + 1) / uint64_t(ctx.nranks()));
+        m * uint64_t(ctx.rank + 1) / uint64_t(ctx.nranks()), &pool);
     auto deg = partition::compute_local_degrees(ctx, space, slice);
-    auto part = partition::build_15d(ctx, space, slice, deg, th);
+    auto part = partition::build_15d(ctx, space, slice, deg, th, pool);
     auto rep = partition::gather_balance(ctx, part);
     if (ctx.rank == 0) report = rep;
   });

@@ -90,8 +90,9 @@ int main(int argc, char** argv) {
     sim::run_spmd(sim::MeshShape{1, 1}, [&](sim::RankContext& ctx) {
       auto slice = graph::generate_rmat(base.graph);
       auto deg = partition::compute_local_degrees(ctx, space, slice);
+      ThreadPool pool(resolve_threads_per_rank(0, 1));
       auto part = partition::build_15d(ctx, space, slice, deg,
-                                       {base.thresholds.e, 16});
+                                       {base.thresholds.e, 16}, pool);
       chip::Chip chip(base.chip_geometry);
       bfs::ChipEhPuller puller(chip, part, ctx.mesh, 0);
       uint64_t k = part.cls.num_eh();

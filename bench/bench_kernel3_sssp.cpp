@@ -48,13 +48,14 @@ int main(int argc, char** argv) {
   {
     partition::VertexSpace space{cfg.graph.num_vertices(), 4};
     sim::run_spmd(sim::MeshShape{2, 2}, [&](sim::RankContext& ctx) {
+      ThreadPool pool(resolve_threads_per_rank(0, 4));
       uint64_t m = cfg.graph.num_edges();
       auto slice = graph::generate_rmat_range(
           cfg.graph, m * uint64_t(ctx.rank) / 4,
-          m * uint64_t(ctx.rank + 1) / 4);
+          m * uint64_t(ctx.rank + 1) / 4, &pool);
       auto deg = partition::compute_local_degrees(ctx, space, slice);
       auto part = partition::build_15d(ctx, space, slice, deg,
-                                       cfg.thresholds);
+                                       cfg.thresholds, pool);
       struct Figures {
         double mb, comm_ms, cpu_ms;
       };

@@ -11,6 +11,7 @@
 #include <cstdio>
 
 #include "bfs/bfs15d.hpp"
+#include "bfs/workspace.hpp"
 #include "graph/io.hpp"
 #include "graph/rmat.hpp"
 #include "graph/validate.hpp"
@@ -62,13 +63,16 @@ int main(int argc, char** argv) {
     size_t lo = edges.size() * size_t(ctx.rank) / size_t(ctx.nranks());
     size_t hi = edges.size() * size_t(ctx.rank + 1) / size_t(ctx.nranks());
     std::span<const graph::Edge> slice(edges.data() + lo, hi - lo);
+    bfs::BfsWorkspace ws(resolve_threads_per_rank(0, size_t(ctx.nranks())));
     auto deg = partition::compute_local_degrees(ctx, space, slice);
-    auto part = partition::build_15d(ctx, space, slice, deg, th);
+    auto part = partition::build_15d(ctx, space, slice, deg, th, ws.pool());
     if (ctx.rank == 0)
       std::printf("classified |E| = %llu, |H| = %llu\n",
                   (unsigned long long)part.cls.num_e(),
                   (unsigned long long)part.cls.num_h());
-    auto res = bfs::bfs15d_run(ctx, part, root);
+    bfs::Bfs15dOptions options;
+    options.workspace = &ws;
+    auto res = bfs::bfs15d_run(ctx, part, root, options);
     auto gathered =
         ctx.world.allgatherv(std::span<const graph::Vertex>(res.parent));
     if (ctx.rank == 0) parent = std::move(gathered);

@@ -9,6 +9,7 @@
 #include <cstdlib>
 
 #include "bfs/bfs15d.hpp"
+#include "bfs/workspace.hpp"
 #include "graph/rmat.hpp"
 #include "graph/validate.hpp"
 #include "partition/part15d.hpp"
@@ -37,15 +38,19 @@ int main(int argc, char** argv) {
   std::vector<graph::Vertex> parent;  // assembled global BFS tree
 
   sim::run_spmd(mesh, [&](sim::RankContext& ctx) {
+    // Each rank owns one workspace: its worker pool and staging buffers.
+    bfs::BfsWorkspace ws(resolve_threads_per_rank(0, size_t(ctx.nranks())));
+
     // 1. Every rank generates exactly its slice of the edge list.
     uint64_t m = graph_cfg.num_edges();
     auto slice = graph::generate_rmat_range(
         graph_cfg, m * uint64_t(ctx.rank) / uint64_t(ctx.nranks()),
-        m * uint64_t(ctx.rank + 1) / uint64_t(ctx.nranks()));
+        m * uint64_t(ctx.rank + 1) / uint64_t(ctx.nranks()), &ws.pool());
 
     // 2. Distributed degree computation and 1.5D partitioning.
     auto degrees = partition::compute_local_degrees(ctx, space, slice);
-    auto part = partition::build_15d(ctx, space, slice, degrees, thresholds);
+    auto part = partition::build_15d(ctx, space, slice, degrees, thresholds,
+                                     ws.pool());
     if (ctx.rank == 0)
       std::printf("classified %llu E + %llu H vertices out of %llu\n",
                   (unsigned long long)part.cls.num_e(),
@@ -53,7 +58,9 @@ int main(int argc, char** argv) {
                   (unsigned long long)space.total);
 
     // 3. BFS with sub-iteration direction optimization (defaults).
-    auto result = bfs::bfs15d_run(ctx, part, root);
+    bfs::Bfs15dOptions options;
+    options.workspace = &ws;
+    auto result = bfs::bfs15d_run(ctx, part, root, options);
     if (ctx.rank == 0)
       std::printf("BFS finished in %d iterations\n",
                   result.stats.num_iterations);

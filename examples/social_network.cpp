@@ -18,6 +18,7 @@
 #include "analytics/pagerank.hpp"
 #include "analytics/sssp.hpp"
 #include "bfs/bfs15d.hpp"
+#include "bfs/workspace.hpp"
 #include "graph/rmat.hpp"
 #include "graph/validate.hpp"
 #include "partition/part15d.hpp"
@@ -43,13 +44,15 @@ int main(int argc, char** argv) {
   graph::Vertex influencer = 0;
 
   sim::run_spmd(mesh, [&](sim::RankContext& ctx) {
+    bfs::BfsWorkspace ws(resolve_threads_per_rank(0, size_t(ctx.nranks())));
     uint64_t m = cfg.num_edges();
     auto slice = graph::generate_rmat_range(
         cfg, m * uint64_t(ctx.rank) / uint64_t(ctx.nranks()),
-        m * uint64_t(ctx.rank + 1) / uint64_t(ctx.nranks()));
+        m * uint64_t(ctx.rank + 1) / uint64_t(ctx.nranks()), &ws.pool());
     auto degrees = partition::compute_local_degrees(ctx, space, slice);
     // One partition serves all four analytics.
-    auto part = partition::build_15d(ctx, space, slice, degrees, {512, 64});
+    auto part = partition::build_15d(ctx, space, slice, degrees, {512, 64},
+                                     ws.pool());
 
     auto l = analytics::cc15d(ctx, part);
     auto r = analytics::pagerank15d(ctx, part, degrees);
@@ -74,7 +77,9 @@ int main(int argc, char** argv) {
           return a.v < b.v ? a : b;
         });
 
-    auto bfs_res = bfs::bfs15d_run(ctx, part, winner.v);
+    bfs::Bfs15dOptions bfs_options;
+    bfs_options.workspace = &ws;
+    auto bfs_res = bfs::bfs15d_run(ctx, part, winner.v, bfs_options);
     auto sssp_res = analytics::sssp15d(ctx, part, winner.v);
 
     auto gl = ctx.world.allgatherv(std::span<const graph::Vertex>(l));

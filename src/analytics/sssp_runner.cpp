@@ -25,13 +25,15 @@ SsspRunnerResult run_graph500_sssp(const sim::Topology& topology,
   uint64_t num_eh = 0;
 
   sim::run_spmd(topology, [&](sim::RankContext& ctx) {
+    // This rank's pool, its share of the host, for generation and the build.
+    ThreadPool pool(resolve_threads_per_rank(0, size_t(nranks)));
     uint64_t m = g.num_edges();
     auto slice = graph::generate_rmat_range(
         g, m * uint64_t(ctx.rank) / uint64_t(nranks),
-        m * uint64_t(ctx.rank + 1) / uint64_t(nranks));
+        m * uint64_t(ctx.rank + 1) / uint64_t(nranks), &pool);
     auto degrees = partition::compute_local_degrees(ctx, space, slice);
-    auto part =
-        partition::build_15d(ctx, space, slice, degrees, config.thresholds);
+    auto part = partition::build_15d(ctx, space, slice, degrees,
+                                     config.thresholds, pool);
     if (ctx.rank == 0) num_eh = part.cls.num_eh();
     slice.clear();
     slice.shrink_to_fit();

@@ -1,5 +1,6 @@
 #include "bfs/engine.hpp"
 
+#include "bfs/workspace.hpp"
 #include "support/check.hpp"
 
 namespace sunbfs::bfs {
@@ -36,6 +37,15 @@ int EngineConfig::threads_request() const {
     case EngineKind::Async: return async.threads_per_rank;
   }
   return 0;
+}
+
+BfsWorkspace* EngineConfig::workspace() const {
+  switch (kind) {
+    case EngineKind::OneD: return bfs1d.workspace;
+    case EngineKind::OneFiveD: return bfs15.workspace;
+    case EngineKind::Async: return async.workspace;
+  }
+  return nullptr;
 }
 
 namespace {
@@ -106,11 +116,14 @@ std::unique_ptr<TraversalEngine> make_engine(
     sim::RankContext& ctx, const partition::VertexSpace& space,
     std::span<const graph::Edge> slice, std::span<const uint64_t> local_degrees,
     const EngineConfig& config) {
+  BfsWorkspace* ws = config.workspace();
+  SUNBFS_CHECK_MSG(ws != nullptr,
+                   "make_engine: the selected engine's workspace is not set");
   switch (config.kind) {
     case EngineKind::OneFiveD:
       return std::make_unique<Engine15d>(
           partition::build_15d(ctx, space, slice, local_degrees,
-                               config.thresholds),
+                               config.thresholds, ws->pool()),
           config.bfs15);
     case EngineKind::OneD:
       return std::make_unique<Engine1d>(partition::build_1d(ctx, space, slice),

@@ -56,6 +56,8 @@ struct EngineConfig {
   /// The selected engine's threads_per_rank request (needed before any
   /// workspace exists).
   int threads_request() const;
+  /// The selected engine's workspace (null until the caller sets it).
+  BfsWorkspace* workspace() const;
 };
 
 /// One root's traversal, shape-normalized across engines.
@@ -84,7 +86,8 @@ class TraversalEngine {
 /// Build the partition `config.kind` needs from this rank's slice of the
 /// global edge list and bind it to the engine.  Collective over all ranks
 /// (the partition builds run alltoallvs); `local_degrees` must come from
-/// partition::compute_local_degrees over the same slices.
+/// partition::compute_local_degrees over the same slices.  The selected
+/// engine's workspace must be set: the build runs on its pool.
 std::unique_ptr<TraversalEngine> make_engine(
     sim::RankContext& ctx, const partition::VertexSpace& space,
     std::span<const graph::Edge> slice, std::span<const uint64_t> local_degrees,

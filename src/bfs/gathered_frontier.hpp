@@ -22,19 +22,22 @@ class GatheredFrontier {
                                  sim::GatherBuffer<uint64_t>& buf) {
     GatheredFrontier g;
     std::span<const uint64_t> words(local.data(), local.word_count());
-    g.words_ = buf.gather(comm, words).data();
+    g.words_ = buf.gather(comm, words);
     g.word_off_ = buf.offsets().data();
     return g;
   }
 
-  /// Bit `local_index` of participant `comm_index`'s bitmap.
+  /// Bit `local_index` of participant `comm_index`'s bitmap.  A block that
+  /// fault recovery dropped arrives empty, shorter than its owner's bitmap;
+  /// none of it is read (every bit reads clear), and its level rolls back.
   bool get(int comm_index, uint64_t local_index) const {
-    size_t base = word_off_[size_t(comm_index)];
-    return (words_[base + (local_index >> 6)] >> (local_index & 63)) & 1;
+    const size_t word = word_off_[size_t(comm_index)] + (local_index >> 6);
+    if (word >= word_off_[size_t(comm_index) + 1]) return false;
+    return (words_[word] >> (local_index & 63)) & 1;
   }
 
  private:
-  const uint64_t* words_ = nullptr;
+  std::span<const uint64_t> words_;
   const size_t* word_off_ = nullptr;
 };
 

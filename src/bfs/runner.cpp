@@ -237,10 +237,11 @@ RunnerResult run_graph500(const sim::Topology& topology,
     return result;
   }
 
-  // Host-side validation against the full edge list (host pool: the SPMD
-  // ranks and their workers have wound down by now).
+  // Host-side validation against the full edge list, on a host-wide pool of
+  // its own (the SPMD ranks and their workers have wound down by now).
+  ThreadPool host_pool(0);
   std::vector<graph::Edge> all_edges;
-  if (config.validate) all_edges = graph::generate_rmat(g, &ThreadPool::global());
+  if (config.validate) all_edges = graph::generate_rmat(g, &host_pool);
 
   result.all_valid = true;
   for (int i = 0; i < config.num_roots; ++i) {
@@ -259,7 +260,7 @@ RunnerResult run_graph500(const sim::Topology& topology,
       run.stats = sum_stats(stats[size_t(i)]);
     if (config.validate) {
       auto v = graph::validate_bfs(g.num_vertices(), all_edges, run.root,
-                                   parents[size_t(i)], &ThreadPool::global());
+                                   parents[size_t(i)], &host_pool);
       run.valid = v.ok;
       run.error = v.error;
       run.traversed_edges = v.edges_in_component;

@@ -45,7 +45,7 @@ ArcMsg make_arc(ArcKind kind, uint64_t a, int64_t b) {
 Part15d build_15d(sim::RankContext& ctx, const VertexSpace& space,
                   std::span<const graph::Edge> slice,
                   std::span<const uint64_t> local_degrees,
-                  DegreeThresholds thresholds) {
+                  DegreeThresholds thresholds, ThreadPool& pool) {
   const sim::MeshShape mesh = ctx.mesh;
   SUNBFS_CHECK(space.nranks == mesh.ranks());
 
@@ -108,7 +108,7 @@ Part15d build_15d(sim::RankContext& ctx, const VertexSpace& space,
   // applied node-locally with PARADIS): order by (kind, a) so each
   // component is a contiguous run of row-sorted arcs.
   sort::paradis_sort(std::span<ArcMsg>(arcs),
-                     [](const ArcMsg& m) { return m.kind_a; });
+                     [](const ArcMsg& m) { return m.kind_a; }, pool);
 
   auto run_of = [&](ArcKind kind) {
     auto lo = std::partition_point(arcs.begin(), arcs.end(), [&](const ArcMsg& m) {

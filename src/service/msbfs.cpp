@@ -215,9 +215,12 @@ MsbfsResult msbfs_run(sim::RankContext& ctx, const partition::Part1d& part,
         for (Vertex u : part.adj.neighbors(lloc)) {
           ++edges;
           int owner = space.owner(u);
-          uint64_t hits =
-              gathered[off[size_t(owner)] + (uint64_t(u) - space.begin(owner))] &
-              pending;
+          const size_t word =
+              off[size_t(owner)] + (uint64_t(u) - space.begin(owner));
+          // A block dropped by fault recovery arrives empty: read none of it
+          // (the level rolls back).
+          if (word >= off[size_t(owner) + 1]) continue;
+          uint64_t hits = gathered[word] & pending;
           if (hits == 0) continue;
           found |= hits;
           pending &= ~hits;

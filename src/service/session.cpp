@@ -133,7 +133,7 @@ ServiceReport GraphSession::serve(const WorkloadConfig& workload,
     std::optional<partition::Part15d> part15;
     if (workload.sssp_fraction > 0)
       part15 = partition::build_15d(ctx, space, slice, degrees,
-                                    config_.thresholds);
+                                    config_.thresholds, ws.pool());
     slice.clear();
     slice.shrink_to_fit();
     const uint64_t local_count = space.count(ctx.rank);

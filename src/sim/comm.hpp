@@ -34,7 +34,7 @@
 ///    alltoallv and allgatherv can carry a Rider, a small folded value
 ///    published through the same inline slot next to their payload.
 ///    The data collectives (alltoallv, allgatherv, allreduce_inplace,
-///    reduce_scatter_block, broadcast) publish raw pointers and receivers
+///    reduce_scatter_block) publish raw pointers and receivers
 ///    memcpy out of them, so their buffers must stay live and unmodified
 ///    until the closing barrier, which every rank crosses before the
 ///    collective returns or unwinds, even when the run is aborting.
@@ -455,34 +455,6 @@ class Comm {
           return {send.data() + lo, (hi - lo) * sizeof(T)};
         },
         out, src_offsets, grow_allocs, rider);
-  }
-
-  /// Broadcast `data` from participant `root` into every rank's buffer.
-  /// A dropped (corrupted) broadcast leaves the receivers' buffers untouched.
-  template <typename T>
-  void broadcast(std::span<T> data, int root) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    SUNBFS_CHECK(root >= 0 && root < size());
-    WallTimer t;
-    uint64_t call = begin_collective(CollectiveType::Broadcast);
-    double cpu = deposit_cpu_arrival();
-    publish_checked(CollectiveType::Broadcast,
-                    pending_payload(CollectiveType::Broadcast, call),
-                    data.data(), data.size_bytes());
-    cross();
-    ReadPhase read_phase(*this);
-    if (verify_source(CollectiveType::Broadcast, root, shared_->ptrs[root],
-                      shared_->nbytes[root], shared_->sums[root])) {
-      check_source_size(CollectiveType::Broadcast, root,
-                        shared_->nbytes[root], data.size_bytes());
-      if (index_ != root)
-        std::memcpy(data.data(), shared_->ptrs[root], data.size_bytes());
-    }
-    auto [intra, inter] = symmetric_bytes(data.size_bytes());
-    read_phase.end();
-    record(CollectiveType::Broadcast, index_ == root ? data.size_bytes() : 0,
-           index_ == root ? inter : 0,
-           topo().transfer_time(size(), intra, inter), t.seconds(), cpu);
   }
 
   /// Sender-side wire-encoding accounting (sim/encoding.hpp): how many

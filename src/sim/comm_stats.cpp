@@ -10,7 +10,6 @@ const char* collective_type_name(CollectiveType type) {
     case CollectiveType::Allgather: return "allgather";
     case CollectiveType::ReduceScatter: return "reduce_scatter";
     case CollectiveType::Allreduce: return "allreduce";
-    case CollectiveType::Broadcast: return "broadcast";
     case CollectiveType::Barrier: return "barrier";
   }
   return "?";

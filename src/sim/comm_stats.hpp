@@ -22,10 +22,9 @@ enum class CollectiveType : int {
   Allgather,
   ReduceScatter,
   Allreduce,
-  Broadcast,
   Barrier,
 };
-inline constexpr int kCollectiveTypeCount = 6;
+inline constexpr int kCollectiveTypeCount = 5;
 
 /// Human-readable name ("alltoallv", "allgather", ...).
 const char* collective_type_name(CollectiveType type);

@@ -86,10 +86,10 @@ void radix_sort_level(std::span<T> data, KeyFn key_of, int shift,
 
 /// Sort `data` in place by the 64-bit key `key_of(element)`, ascending.
 /// Uses no auxiliary array proportional to the input (in-place), and runs
-/// sub-buckets of the most significant digit in parallel on `pool`.
+/// sub-buckets of the most significant digit in parallel on `pool` (the
+/// calling rank's own; see bfs::BfsWorkspace).
 template <typename T, typename KeyFn>
-void paradis_sort(std::span<T> data, KeyFn key_of,
-                  sunbfs::ThreadPool& pool = sunbfs::ThreadPool::global()) {
+void paradis_sort(std::span<T> data, KeyFn key_of, sunbfs::ThreadPool& pool) {
   if (data.size() <= 1) return;
   obs::Span span("sort", "paradis_sort", int64_t(data.size()));
   // Find the highest bit actually used to skip empty leading digits.
@@ -99,11 +99,6 @@ void paradis_sort(std::span<T> data, KeyFn key_of,
   int shift =
       int((size_t(bits - 1) / detail::kRadixBits) * detail::kRadixBits);
   detail::radix_sort_level<T, KeyFn>(data, key_of, shift, pool, true);
-}
-
-/// Convenience overload for plain integer spans.
-inline void paradis_sort_u64(std::span<uint64_t> data) {
-  paradis_sort(data, [](uint64_t v) { return v; });
 }
 
 }  // namespace sunbfs::sort

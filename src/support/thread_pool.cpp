@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "support/check.hpp"
 #include "support/spin.hpp"
@@ -98,7 +99,8 @@ void ThreadPool::run_chunks(size_t nchunks,
   SUNBFS_CHECK(nchunks <= std::numeric_limits<uint32_t>::max());
   // The job slots below hold one batch; a second outside caller would
   // overwrite the first's job and chunk count.
-  std::lock_guard<std::mutex> serial(caller_mu_);
+  SUNBFS_CHECK_MSG(!busy_.exchange(true, std::memory_order_acquire),
+                   "ThreadPool: a second outside caller entered run_chunks");
   job_ = &fn;
   job_chunks_ = nchunks;
   error_ = nullptr;
@@ -115,11 +117,9 @@ void ThreadPool::run_chunks(size_t nchunks,
   uint32_t done = done_.load(std::memory_order_acquire);
   while (done != nchunks) done = spin::wait_while_equal(done_, done, spin_);
   job_ = nullptr;
-  if (error_) {
-    auto err = error_;
-    error_ = nullptr;
-    std::rethrow_exception(err);
-  }
+  std::exception_ptr err = std::exchange(error_, nullptr);
+  busy_.store(false, std::memory_order_release);
+  if (err) std::rethrow_exception(err);
 }
 
 void ThreadPool::parallel_for(size_t begin, size_t end,
@@ -132,11 +132,6 @@ void ThreadPool::parallel_for(size_t begin, size_t end,
     size_t hi = begin + n * (p + 1) / parts;
     if (lo < hi) fn(lo, hi);
   });
-}
-
-ThreadPool& ThreadPool::global() {
-  static ThreadPool pool(0);
-  return pool;
 }
 
 size_t resolve_threads_per_rank(int requested, size_t nranks) {

@@ -46,9 +46,11 @@ namespace sunbfs {
 ///  - Re-entrancy: calling run_chunks / parallel_for from inside a chunk of
 ///    the same pool degrades to inline execution on the calling thread
 ///    instead of deadlocking on the dispatch protocol.
-///  - Concurrent callers: outside threads sharing one pool (e.g. several
-///    ranks on ThreadPool::global()) are serialized; each batch runs to
-///    completion before the next caller dispatches.
+///  - One outside caller at a time, checked: a pool belongs to one rank
+///    (bfs::BfsWorkspace), and every parallel call names that rank's pool.
+///    A second outside thread entering a dispatching run_chunks while a
+///    batch is running fails a SUNBFS_CHECK (CheckError) before it touches
+///    the batch; it never queues behind the first.
 class ThreadPool {
  public:
   /// Create a pool with `threads` workers.  0 means
@@ -73,9 +75,6 @@ class ThreadPool {
   void parallel_for(size_t begin, size_t end,
                     const std::function<void(size_t, size_t)>& fn);
 
-  /// Process-wide default pool (size = hardware concurrency).
-  static ThreadPool& global();
-
  private:
   void worker_loop();
   void run_inline(size_t nchunks, const std::function<void(size_t)>& fn);
@@ -85,8 +84,8 @@ class ThreadPool {
 
   /// Waiters may spin (spin::spin_fits at construction).
   bool spin_ = false;
-  /// Held by the outside caller for a whole batch: one job at a time.
-  std::mutex caller_mu_;
+  /// Set by the outside caller for a whole batch: one job at a time.
+  std::atomic<bool> busy_{false};
   /// The batch's job; written before the claim word is published and read
   /// only after a successful claim, so it is stable while anyone reads it.
   const std::function<void(size_t)>* job_ = nullptr;

@@ -42,7 +42,8 @@ Built build(sim::RankContext& ctx, const Graph500Config& cfg,
   b.space = partition::VertexSpace{cfg.num_vertices(), ctx.nranks()};
   auto slice = slice_of(cfg, ctx.rank, ctx.nranks());
   b.degrees = partition::compute_local_degrees(ctx, b.space, slice);
-  b.part = partition::build_15d(ctx, b.space, slice, b.degrees, th);
+  ThreadPool pool(2);
+  b.part = partition::build_15d(ctx, b.space, slice, b.degrees, th, pool);
   return b;
 }
 

@@ -45,7 +45,8 @@ std::vector<Vertex> run_15d(const Graph500Config& cfg, sim::MeshShape mesh,
   sim::run_spmd(mesh, [&](sim::RankContext& ctx) {
     auto slice = slice_of(cfg, ctx.rank, ctx.nranks());
     auto deg = partition::compute_local_degrees(ctx, space, slice);
-    auto part = partition::build_15d(ctx, space, slice, deg, th);
+    ThreadPool pool(2);
+    auto part = partition::build_15d(ctx, space, slice, deg, th, pool);
     std::optional<chip::Chip> chip;
     Bfs15dOptions o = opts;
     if (o.pull_kernel != Bfs15dOptions::EhPullKernel::Host) {
@@ -296,7 +297,8 @@ TEST(Bfs15d, CustomSupernodeMappingStillValidates) {
   sim::run_spmd(topo, [&](sim::RankContext& ctx) {
     auto slice = slice_of(cfg, ctx.rank, ctx.nranks());
     auto deg = partition::compute_local_degrees(ctx, space, slice);
-    auto part = partition::build_15d(ctx, space, slice, deg, {128, 32});
+    ThreadPool pool(2);
+    auto part = partition::build_15d(ctx, space, slice, deg, {128, 32}, pool);
     auto res = bfs15d_run(ctx, part, root);
     auto gathered =
         ctx.world.allgatherv(std::span<const Vertex>(res.parent));
@@ -516,7 +518,9 @@ TEST(ThreadDeterminism, RecoveredFaultRunIdenticalAcrossThreadCounts) {
           ctx.faults.armed = false;  // setup runs fault-free, as in the runner
           auto slice = slice_of(cfg, ctx.rank, ctx.nranks());
           auto deg = partition::compute_local_degrees(ctx, space, slice);
-          auto part = partition::build_15d(ctx, space, slice, deg, {128, 32});
+          ThreadPool pool(2);
+          auto part =
+              partition::build_15d(ctx, space, slice, deg, {128, 32}, pool);
           ctx.faults.armed = true;
           Bfs15dOptions o;
           o.threads_per_rank = tpr == 0 ? 1 : tpr;

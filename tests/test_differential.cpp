@@ -73,8 +73,9 @@ std::vector<Vertex> run_15d(const Graph500Config& cfg, sim::MeshShape mesh,
   sim::run_spmd(mesh, [&](sim::RankContext& ctx) {
     auto slice = slice_of(cfg, ctx.rank, ctx.nranks());
     auto deg = partition::compute_local_degrees(ctx, space, slice);
+    ThreadPool pool(2);
     auto part =
-        partition::build_15d(ctx, space, slice, deg, {128, 32});
+        partition::build_15d(ctx, space, slice, deg, {128, 32}, pool);
     bfs::Bfs15dOptions opts;
     opts.threads_per_rank = threads;
     opts.exchange.encoding = encoding;
@@ -672,7 +673,8 @@ TEST(SelfDelivery15d, OneRankSearchStagesNoAlltoallvMessage) {
   sim::run_spmd(sim::MeshShape{1, 1}, [&](sim::RankContext& ctx) {
     auto slice = slice_of(cfg, 0, 1);
     auto deg = partition::compute_local_degrees(ctx, space, slice);
-    auto part = partition::build_15d(ctx, space, slice, deg, {128, 32});
+    ThreadPool pool(2);
+    auto part = partition::build_15d(ctx, space, slice, deg, {128, 32}, pool);
     bfs::Bfs15dOptions opts;
     opts.threads_per_rank = 2;
     ctx.stats.reset();

@@ -189,7 +189,8 @@ std::vector<Vertex> run_15d(const Graph500Config& cfg, sim::MeshShape mesh,
   sim::run_spmd(mesh, [&](sim::RankContext& ctx) {
     auto slice = slice_of(cfg, ctx.rank, ctx.nranks());
     auto deg = partition::compute_local_degrees(ctx, space, slice);
-    auto part = partition::build_15d(ctx, space, slice, deg, th);
+    ThreadPool pool(2);
+    auto part = partition::build_15d(ctx, space, slice, deg, th, pool);
     bfs::Bfs15dOptions opts;
     opts.threads_per_rank = threads;
     opts.exchange.encoding = encoding;
@@ -345,7 +346,9 @@ TEST(BackendBitIdentityPropagation, DistancesAndLabelsEqualDirectRaw) {
       partition::VertexSpace space{cfg.num_vertices(), ctx.nranks()};
       auto slice = slice_of(cfg, ctx.rank, ctx.nranks());
       auto degrees = partition::compute_local_degrees(ctx, space, slice);
-      auto part = partition::build_15d(ctx, space, slice, degrees, {64, 16});
+      ThreadPool pool(2);
+      auto part =
+          partition::build_15d(ctx, space, slice, degrees, {64, 16}, pool);
       analytics::SsspOptions opts;
       opts.exchange.encoding = encoding;
       opts.exchange.backend = backend;

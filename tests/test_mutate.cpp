@@ -260,7 +260,8 @@ TEST(Apply15d, PatchedPartitionServesExactBfsAndSssp) {
   sim::run_spmd(mesh, [&](sim::RankContext& ctx) {
     auto slice = slice_of(cfg, ctx.rank, ctx.nranks());
     auto deg = partition::compute_local_degrees(ctx, space, slice);
-    auto part = partition::build_15d(ctx, space, slice, deg, {128, 32});
+    ThreadPool pool(2);
+    auto part = partition::build_15d(ctx, space, slice, deg, {128, 32}, pool);
 
     auto base = graph::generate_rmat(cfg);
     mutate::MutationLog log(lc, nv, base);

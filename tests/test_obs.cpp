@@ -315,7 +315,6 @@ TEST(Metrics, CollectiveWaitIsPartOfWall) {
       std::vector<uint64_t> words(4, uint64_t(1) << ctx.rank);
       ctx.world.allreduce_inplace(std::span<uint64_t>(words),
                                   [](uint64_t a, uint64_t b) { return a | b; });
-      ctx.world.broadcast(std::span<uint64_t>(words), 0);
       ctx.world.barrier();
     }
   });

@@ -135,8 +135,9 @@ TEST_P(Part15dTest, ConservesEveryEdgeWithCorrectPlacement) {
   sim::run_spmd(mesh, [&](sim::RankContext& ctx) {
     auto slice = slice_of(cfg, ctx.rank, ctx.nranks());
     auto local_deg = compute_local_degrees(ctx, space, slice);
+    ThreadPool pool(2);
     parts[size_t(ctx.rank)] =
-        build_15d(ctx, space, slice, local_deg, th);
+        build_15d(ctx, space, slice, local_deg, th, pool);
   });
 
   const EhlTable& cls = parts[0].cls;
@@ -225,8 +226,9 @@ TEST(Part15d, DegenerateNoHeavy) {
   sim::run_spmd(mesh, [&](sim::RankContext& ctx) {
     auto slice = slice_of(cfg, ctx.rank, ctx.nranks());
     auto deg = compute_local_degrees(ctx, space, slice);
+    ThreadPool pool(2);
     parts[size_t(ctx.rank)] =
-        build_15d(ctx, space, slice, deg, DegreeThresholds{64, 64});
+        build_15d(ctx, space, slice, deg, DegreeThresholds{64, 64}, pool);
   });
   EXPECT_EQ(parts[0].cls.num_h(), 0u);
   for (const auto& p : parts) {
@@ -245,8 +247,9 @@ TEST(Part15d, DegenerateNoLight) {
   sim::run_spmd(mesh, [&](sim::RankContext& ctx) {
     auto slice = slice_of(cfg, ctx.rank, ctx.nranks());
     auto deg = compute_local_degrees(ctx, space, slice);
+    ThreadPool pool(2);
     parts[size_t(ctx.rank)] =
-        build_15d(ctx, space, slice, deg, DegreeThresholds{1024, 0});
+        build_15d(ctx, space, slice, deg, DegreeThresholds{1024, 0}, pool);
   });
   for (const auto& p : parts) {
     EXPECT_EQ(p.e2l.num_arcs(), 0u);
@@ -269,7 +272,9 @@ TEST(Part15d, BalanceReportCoversAllRanks) {
   sim::run_spmd(mesh, [&](sim::RankContext& ctx) {
     auto slice = slice_of(cfg, ctx.rank, ctx.nranks());
     auto deg = compute_local_degrees(ctx, space, slice);
-    auto part = build_15d(ctx, space, slice, deg, DegreeThresholds{256, 64});
+    ThreadPool pool(2);
+    auto part =
+        build_15d(ctx, space, slice, deg, DegreeThresholds{256, 64}, pool);
     reports[size_t(ctx.rank)] = gather_balance(ctx, part);
   });
   const auto& rep = reports[0];
@@ -361,7 +366,8 @@ TEST(Part15d, H2lMirrorsAgreeArcForArc) {
   sim::run_spmd(mesh, [&](sim::RankContext& ctx) {
     auto slice = slice_of(cfg, ctx.rank, ctx.nranks());
     auto deg = compute_local_degrees(ctx, space, slice);
-    auto part = build_15d(ctx, space, slice, deg, {128, 16});
+    ThreadPool pool(2);
+    auto part = build_15d(ctx, space, slice, deg, {128, 16}, pool);
     // Same arcs, two orientations, same rank.
     EXPECT_EQ(part.h2l.num_arcs(), part.h2l_by_l.num_arcs());
     // Row-local offsets cover exactly the ranks of this row.

@@ -54,8 +54,9 @@ TEST_P(BfsSweep, EveryConfigurationValidates) {
         cfg, m * uint64_t(ctx.rank) / uint64_t(ctx.nranks()),
         m * uint64_t(ctx.rank + 1) / uint64_t(ctx.nranks()));
     auto deg = partition::compute_local_degrees(ctx, space, slice);
+    ThreadPool pool(2);
     auto part = partition::build_15d(ctx, space, slice, deg,
-                                     {c.e_th, c.h_th});
+                                     {c.e_th, c.h_th}, pool);
     bfs::Bfs15dOptions opts;
     opts.sub_iteration_direction = c.sub_iter;
     opts.exchange.backend = c.exchange;
@@ -171,7 +172,8 @@ TEST_P(SortFuzz, ParadisSortsArbitraryDistributions) {
   }
   auto expected = v;
   std::sort(expected.begin(), expected.end());
-  sort::paradis_sort(std::span(v), [](uint64_t x) { return x; });
+  ThreadPool pool(4);
+  sort::paradis_sort(std::span(v), [](uint64_t x) { return x; }, pool);
   EXPECT_EQ(v, expected);
 }
 
@@ -360,8 +362,9 @@ TEST(RunnerIntegration, InvalidRootConfigurationSurfaces) {
                           m * uint64_t(ctx.rank + 1) / uint64_t(ctx.nranks()));
                       auto deg =
                           partition::compute_local_degrees(ctx, space, slice);
+                      ThreadPool pool(2);
                       auto part = partition::build_15d(ctx, space, slice, deg,
-                                                       {64, 16});
+                                                       {64, 16}, pool);
                       bfs::bfs15d_run(ctx, part,
                                       graph::Vertex(g.num_vertices() + 5));
                     }),

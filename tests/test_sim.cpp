@@ -179,14 +179,6 @@ TEST(Collectives, AlltoallvEmptyMessagesOk) {
   });
 }
 
-TEST(Collectives, BroadcastFromNonzeroRoot) {
-  run_spmd(MeshShape{2, 2}, [&](RankContext& ctx) {
-    std::vector<double> data(5, ctx.rank == 2 ? 3.25 : 0.0);
-    ctx.world.broadcast(std::span<double>(data), 2);
-    for (double d : data) EXPECT_DOUBLE_EQ(d, 3.25);
-  });
-}
-
 TEST(Collectives, RowAndColumnCommsAreDisjoint) {
   run_spmd(MeshShape{2, 3}, [&](RankContext& ctx) {
     // Row sum: ranks in row r are {3r, 3r+1, 3r+2}.
@@ -250,23 +242,6 @@ TEST(Collectives, AllgathervAllEmpty) {
     auto got = ctx.world.allgatherv(std::span<const int>(nothing), &off);
     EXPECT_TRUE(got.empty());
     EXPECT_EQ(off, (std::vector<size_t>{0, 0, 0, 0, 0}));
-  });
-}
-
-TEST(Collectives, BroadcastStructPayload) {
-  struct Payload {
-    double a;
-    int b;
-  };
-  sim::run_spmd(sim::MeshShape{1, 3}, [&](sim::RankContext& ctx) {
-    std::vector<Payload> data(4);
-    if (ctx.rank == 1)
-      for (int i = 0; i < 4; ++i) data[size_t(i)] = {i * 1.5, i};
-    ctx.world.broadcast(std::span<Payload>(data), 1);
-    for (int i = 0; i < 4; ++i) {
-      EXPECT_DOUBLE_EQ(data[size_t(i)].a, i * 1.5);
-      EXPECT_EQ(data[size_t(i)].b, i);
-    }
   });
 }
 

@@ -156,11 +156,17 @@ TEST_P(ParadisTest, SortsRandomInput) {
 INSTANTIATE_TEST_SUITE_P(Sizes, ParadisTest,
                          ::testing::Values(0, 1, 2, 63, 64, 65, 1000, 100000));
 
+// Plain integer keys, sorted on a 4-wide pool of the test's own.
+void paradis_sort_keys(std::vector<uint64_t>& v) {
+  ThreadPool pool(4);
+  paradis_sort(std::span(v), [](uint64_t x) { return x; }, pool);
+}
+
 TEST(Paradis, SmallKeyRange) {
   auto v = random_keys(50000, 3, 4);  // keys in [0,4)
   auto expected = v;
   std::sort(expected.begin(), expected.end());
-  paradis_sort_u64(std::span(v));
+  paradis_sort_keys(v);
   EXPECT_EQ(v, expected);
 }
 
@@ -168,16 +174,16 @@ TEST(Paradis, AlreadySortedAndReversed) {
   std::vector<uint64_t> v(10000);
   std::iota(v.begin(), v.end(), 0);
   auto sorted = v;
-  paradis_sort_u64(std::span(v));
+  paradis_sort_keys(v);
   EXPECT_EQ(v, sorted);
   std::reverse(v.begin(), v.end());
-  paradis_sort_u64(std::span(v));
+  paradis_sort_keys(v);
   EXPECT_EQ(v, sorted);
 }
 
 TEST(Paradis, AllEqualKeys) {
   std::vector<uint64_t> v(5000, 42);
-  paradis_sort_u64(std::span(v));
+  paradis_sort_keys(v);
   EXPECT_TRUE(std::all_of(v.begin(), v.end(),
                           [](uint64_t x) { return x == 42; }));
 }
@@ -192,9 +198,10 @@ TEST(Paradis, StructWithKeyFunction) {
     e.src = uint32_t(rng.next_below(1000));
     e.dst = uint32_t(rng.next_below(1000));
   }
-  paradis_sort(std::span(edges), [](const Edge& e) {
-    return (uint64_t(e.src) << 32) | e.dst;
-  });
+  ThreadPool pool(4);
+  paradis_sort(
+      std::span(edges),
+      [](const Edge& e) { return (uint64_t(e.src) << 32) | e.dst; }, pool);
   for (size_t i = 1; i < edges.size(); ++i) {
     uint64_t a = (uint64_t(edges[i - 1].src) << 32) | edges[i - 1].dst;
     uint64_t b = (uint64_t(edges[i].src) << 32) | edges[i].dst;
@@ -207,7 +214,7 @@ TEST(Paradis, FullWidthKeys) {
   for (size_t i = 0; i < v.size(); i += 3) v[i] |= (uint64_t(1) << 63);
   auto expected = v;
   std::sort(expected.begin(), expected.end());
-  paradis_sort_u64(std::span(v));
+  paradis_sort_keys(v);
   EXPECT_EQ(v, expected);
 }
 

@@ -56,7 +56,8 @@ TEST(RuntimeStress, BfsOnWideMesh) {
         cfg, m * uint64_t(ctx.rank) / uint64_t(ctx.nranks()),
         m * uint64_t(ctx.rank + 1) / uint64_t(ctx.nranks()));
     auto deg = partition::compute_local_degrees(ctx, space, slice);
-    auto part = partition::build_15d(ctx, space, slice, deg, {512, 64});
+    ThreadPool pool(2);
+    auto part = partition::build_15d(ctx, space, slice, deg, {512, 64}, pool);
     auto res = bfs::bfs15d_run(ctx, part, root);
     auto gathered = ctx.world.allgatherv(std::span<const Vertex>(res.parent));
     if (ctx.rank == 0) parent = std::move(gathered);
@@ -67,29 +68,40 @@ TEST(RuntimeStress, BfsOnWideMesh) {
 }
 
 TEST(Determinism, PartitionBuildsIdenticallyTwice) {
+  // Every rank sorts on a pool of its own, several ranks at once.  Two
+  // builds at one width match, and so do builds at 1 and 4 threads per
+  // rank: every 1.5D component CSR on every rank.
   Graph500Config cfg;
   cfg.scale = 10;
   cfg.seed = 5;
   sim::MeshShape mesh{2, 2};
   partition::VertexSpace space{cfg.num_vertices(), mesh.ranks()};
-  auto build_once = [&](int rank_to_keep) {
-    std::pair<std::vector<uint64_t>, std::vector<Vertex>> snapshot;
+  using Components =
+      std::vector<std::pair<std::vector<uint64_t>, std::vector<Vertex>>>;
+  auto build_once = [&](size_t threads_per_rank) {
+    std::vector<Components> per_rank(size_t(mesh.ranks()));
     sim::run_spmd(mesh, [&](sim::RankContext& ctx) {
+      ThreadPool pool(threads_per_rank);
       uint64_t m = cfg.num_edges();
       auto slice = graph::generate_rmat_range(
           cfg, m * uint64_t(ctx.rank) / uint64_t(ctx.nranks()),
           m * uint64_t(ctx.rank + 1) / uint64_t(ctx.nranks()));
       auto deg = partition::compute_local_degrees(ctx, space, slice);
-      auto part = partition::build_15d(ctx, space, slice, deg, {128, 32});
-      if (ctx.rank == rank_to_keep)
-        snapshot = {part.eh2eh.offsets(), part.eh2eh.values()};
+      auto part =
+          partition::build_15d(ctx, space, slice, deg, {128, 32}, pool);
+      Components& out = per_rank[size_t(ctx.rank)];
+      for (const graph::Csr* c :
+           {&part.eh2eh, &part.eh2eh_rev, &part.e2l, &part.l2e, &part.h2l,
+            &part.h2l_by_l, &part.l2h, &part.l2l})
+        out.emplace_back(c->offsets(), c->values());
     });
-    return snapshot;
+    return per_rank;
   };
-  auto a = build_once(1);
-  auto b = build_once(1);
-  EXPECT_EQ(a.first, b.first);
-  EXPECT_EQ(a.second, b.second);
+  const auto two = build_once(2);
+  EXPECT_EQ(two, build_once(2));
+  const auto one = build_once(1);
+  EXPECT_EQ(one, build_once(4));
+  EXPECT_EQ(one, two);
 }
 
 TEST(Determinism, BfsParentsIdenticalAcrossRuns) {
@@ -107,7 +119,8 @@ TEST(Determinism, BfsParentsIdenticalAcrossRuns) {
           cfg, m * uint64_t(ctx.rank) / uint64_t(ctx.nranks()),
           m * uint64_t(ctx.rank + 1) / uint64_t(ctx.nranks()));
       auto deg = partition::compute_local_degrees(ctx, space, slice);
-      auto part = partition::build_15d(ctx, space, slice, deg, {128, 32});
+      ThreadPool pool(2);
+      auto part = partition::build_15d(ctx, space, slice, deg, {128, 32}, pool);
       auto res = bfs::bfs15d_run(ctx, part, root);
       auto gathered =
           ctx.world.allgatherv(std::span<const Vertex>(res.parent));

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <latch>
 #include <numeric>
 #include <set>
 #include <thread>
@@ -260,26 +261,35 @@ TEST(ThreadPool, ContendedRoundsCountExactly) {
   EXPECT_EQ(total.load(), 200u * (16u * 17u / 2u));
 }
 
-TEST(ThreadPool, ConcurrentOutsideCallersEachRunEveryChunkOnce) {
-  // Several threads sharing one pool (ranks on ThreadPool::global()): every
-  // caller's batch must run each of its own chunks exactly once, with no
-  // batch overwriting another's job or pending count.
-  ThreadPool pool(4);
-  constexpr int kCallers = 4;
-  constexpr int kCalls = 1000;
+TEST(ThreadPool, SecondOutsideCallerIsRejected) {
+  // A pool has one outside caller at a time.  Caller A's chunk 0 holds its
+  // batch open until caller B has tried to dispatch on the same pool: B must
+  // get CheckError without running a chunk or disturbing A's batch, whose
+  // chunks each run exactly once.
+  ThreadPool pool(2);
   constexpr size_t kChunks = 9;
-  std::vector<int> bad(kCallers, 0);
-  std::vector<std::thread> callers;
-  for (int t = 0; t < kCallers; ++t)
-    callers.emplace_back([&, t] {
-      for (int call = 0; call < kCalls; ++call) {
-        std::vector<std::atomic<int>> ran(kChunks);
-        pool.run_chunks(kChunks, [&](size_t c) { ran[c].fetch_add(1); });
-        for (auto& r : ran) bad[size_t(t)] += r.load() != 1;
+  std::vector<std::atomic<int>> ran(kChunks);
+  std::latch entered(1), rejected(1);
+  std::thread a([&] {
+    pool.run_chunks(kChunks, [&](size_t c) {
+      if (c == 0) {
+        entered.count_down();
+        rejected.wait();
       }
+      ran[c].fetch_add(1);
     });
-  for (auto& c : callers) c.join();
-  for (int t = 0; t < kCallers; ++t) EXPECT_EQ(bad[size_t(t)], 0) << t;
+  });
+  entered.wait();
+  std::atomic<int> b_ran{0};
+  EXPECT_THROW(pool.run_chunks(2, [&](size_t) { b_ran.fetch_add(1); }),
+               CheckError);
+  rejected.count_down();
+  a.join();
+  EXPECT_EQ(b_ran.load(), 0);
+  for (size_t c = 0; c < kChunks; ++c) EXPECT_EQ(ran[c].load(), 1) << c;
+  // Once A's batch returned, the next outside caller dispatches normally.
+  pool.run_chunks(2, [&](size_t) { b_ran.fetch_add(1); });
+  EXPECT_EQ(b_ran.load(), 2);
 }
 
 TEST(ThreadPool, ReentrantParallelForRunsInline) {
