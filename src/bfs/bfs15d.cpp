@@ -32,19 +32,6 @@ uint64_t count_range(const BitVector& bv, uint64_t lo, uint64_t hi) {
   return n;
 }
 
-/// Lock-free fetch-max on a parent/candidate slot.  Every concurrent writer
-/// records its value; the slot ends at the maximum, which is independent of
-/// scheduling — the keystone of thread-count-independent BFS output (all
-/// candidate values written to one slot within a phase share one id space,
-/// so the maximum is well-defined).
-void store_max(Vertex& slot, Vertex v) {
-  std::atomic_ref<Vertex> a(slot);
-  Vertex cur = a.load(std::memory_order_relaxed);
-  while (cur < v &&
-         !a.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-}
-
 class Engine {
  public:
   Engine(sim::RankContext& ctx, const partition::Part15d& part, Vertex root,

@@ -7,8 +7,13 @@
 #include "sim/runtime.hpp"
 
 /// Vanilla 1D-partitioned BFS with direction optimization (the Table 1 /
-/// §2.1 baseline): per-edge messages in top-down, a world-wide frontier
-/// gather in bottom-up, no delegation of heavy vertices.
+/// §2.1 baseline): one message per (sender rank, target) in top-down, a
+/// world-wide frontier gather in bottom-up, no delegation of heavy vertices.
+/// The level control (direction, exact count or carried bound, rollback,
+/// end rules) is bfs::run_level_loop (bfs/level_loop.hpp), shared with
+/// MS-BFS; this engine brings its bitmaps, the dedup'd CompactMsg push that
+/// keeps the 1D baseline's bytes, the bitmap pull, and a compute charge of
+/// measured CPU per level.
 namespace sunbfs::bfs {
 
 class BfsWorkspace;

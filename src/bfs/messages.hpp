@@ -6,8 +6,8 @@
 #include "sim/encoding.hpp"
 #include "sim/exchange.hpp"
 
-/// Wire formats of the engines' visit messages (shared by bfs1d, bfs15d and
-/// the reusable staging pools in BfsWorkspace), plus their adaptive wire
+/// Wire formats of the engines' visit messages (shared by bfs1d, bfs15d,
+/// bfsasync, MS-BFS and the reusable staging pools in BfsWorkspace), plus their adaptive wire
 /// codecs (sim/encoding.hpp): the destination id is the sort/bitmap key and
 /// the remaining fields travel as varints.  The ExchangeMergePolicy
 /// specializations below are what staged exchange plans (sim/exchange.hpp)
@@ -41,6 +41,18 @@ struct AsyncVisitMsg {
   uint32_t dst;     ///< receiver-local vertex index
   uint32_t parent;  ///< global parent id
   uint32_t depth;   ///< speculative depth claimed for dst
+};
+
+/// One batched visit of MS-BFS (service/msbfs.cpp): receiver-local target,
+/// sender-local source (the source rank is recovered from the alltoallv
+/// src_offsets), and the query bit-mask the source's frontier carries for
+/// this edge.  One message per cross-rank frontier edge: per-target dedup
+/// is skipped because the max-parent rule needs every candidate source, and
+/// a per-(target, query) dedup table would cost W x |V| words per level.
+struct MsbfsMsg {
+  uint32_t dst;
+  uint32_t src;
+  uint64_t mask;
 };
 
 }  // namespace sunbfs::bfs
@@ -185,6 +197,58 @@ struct ExchangeMergePolicy<bfs::AsyncVisitMsg> {
       into.depth = from.depth;
       into.parent = from.parent;
     }
+  }
+};
+
+/// Wire codec for the batched visit message: `dst` keys the sort/bitmap,
+/// `src` and the query mask follow as varints (sparse batches have few low
+/// bits set; full-width masks fall back to raw via exact measurement).
+template <>
+struct WireFormat<bfs::MsbfsMsg> {
+  static uint64_t key(const bfs::MsbfsMsg& m) { return m.dst; }
+  static bool less(const bfs::MsbfsMsg& a, const bfs::MsbfsMsg& b) {
+    if (a.dst != b.dst) return a.dst < b.dst;
+    if (a.src != b.src) return a.src < b.src;
+    return a.mask < b.mask;
+  }
+  static size_t rest_size(const bfs::MsbfsMsg& m) {
+    return varint_size(m.src) + varint_size(m.mask);
+  }
+  static uint8_t* put_rest(const bfs::MsbfsMsg& m, uint8_t* p) {
+    p = put_varint(p, m.src);
+    return put_varint(p, m.mask);
+  }
+  static const uint8_t* get_rest(const uint8_t* p, const uint8_t* end,
+                                 uint64_t key, bfs::MsbfsMsg& m) {
+    if (key > UINT32_MAX) return nullptr;
+    uint64_t src = 0, mask = 0;
+    p = get_varint(p, end, &src);
+    if (p == nullptr || src > UINT32_MAX) return nullptr;
+    p = get_varint(p, end, &mask);
+    if (p == nullptr) return nullptr;
+    m.dst = uint32_t(key);
+    m.src = uint32_t(src);
+    m.mask = mask;
+    return p;
+  }
+};
+
+/// Batched visits for the same (target, source) pair carry query masks the
+/// receiver ORs into the same next-frontier word, so an intermediate hop may
+/// OR them early.  `src` is *sender-local*, so equality is only meaningful
+/// within one source rank: messages from different src_parts must never
+/// merge (same src, different global vertex), which the src_part guard
+/// enforces.
+template <>
+struct ExchangeMergePolicy<bfs::MsbfsMsg> {
+  static constexpr bool enabled = true;
+  static bool same(const bfs::MsbfsMsg& a, uint32_t a_src_part,
+                   const bfs::MsbfsMsg& b, uint32_t b_src_part) {
+    return a_src_part == b_src_part && a.dst == b.dst && a.src == b.src;
+  }
+  static void fold(bfs::MsbfsMsg& into, uint32_t& /*into_src_part*/,
+                   const bfs::MsbfsMsg& from, uint32_t /*from_src_part*/) {
+    into.mask |= from.mask;
   }
 };
 

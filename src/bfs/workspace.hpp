@@ -11,7 +11,8 @@
 /// communication staging pools.
 ///
 /// One BfsWorkspace lives per rank for the whole run (the runner creates it
-/// outside the root loop and threads it through Bfs15dOptions/Bfs1dOptions),
+/// outside the root loop and threads it through Bfs15dOptions/Bfs1dOptions;
+/// the query service keeps one resident across batches),
 /// so staging capacities warm up on the first root and every later
 /// level/root stages and exchanges without allocating — staging_allocs()
 /// must stop moving after the warmup root.  See docs/PERF.md.
@@ -41,11 +42,14 @@ class BfsWorkspace {
   /// (bfs/bfsasync.cpp): depth-carrying messages with a min-depth in-flight
   /// fold.
   sim::ExchangeChannel<AsyncVisitMsg>& async_visits() { return async_; }
+  /// Staging pool for MS-BFS's batched visits (service/msbfs.cpp): one
+  /// query-mask message per cross-rank frontier arc.
+  sim::ExchangeChannel<MsbfsMsg>& batch_visits() { return batch_; }
 
   /// Total capacity growths across all pools since construction.
   uint64_t staging_allocs() const {
     return compact_.allocs() + visits_.allocs() + frontier_.allocs() +
-           async_.allocs();
+           async_.allocs() + batch_.allocs();
   }
 
  private:
@@ -54,6 +58,7 @@ class BfsWorkspace {
   sim::ExchangeChannel<VisitMsg> visits_;
   sim::GatherBuffer<uint64_t> frontier_;
   sim::ExchangeChannel<AsyncVisitMsg> async_;
+  sim::ExchangeChannel<MsbfsMsg> batch_;
 };
 
 }  // namespace sunbfs::bfs

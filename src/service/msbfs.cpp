@@ -5,10 +5,14 @@
 #include <bit>
 #include <memory>
 
+#include "bfs/gathered_frontier.hpp"
+#include "bfs/level_loop.hpp"
+#include "bfs/messages.hpp"
 #include "bfs/workspace.hpp"
 #include "obs/trace.hpp"
 #include "service/query.hpp"
 #include "sim/recover.hpp"
+#include "support/bitvector.hpp"
 #include "support/check.hpp"
 
 namespace sunbfs::service {
@@ -17,17 +21,6 @@ using graph::Vertex;
 using graph::kNoVertex;
 
 namespace {
-
-/// Lock-free fetch-max, the same determinism scheme as the single-root
-/// engines: every concurrent candidate for a slot is recorded and the
-/// maximum wins, so the output is independent of the thread count.
-void store_max(Vertex& slot, Vertex v) {
-  std::atomic_ref<Vertex> a(slot);
-  Vertex cur = a.load(std::memory_order_relaxed);
-  while (cur < v &&
-         !a.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-}
 
 /// OR `bits` into `slot`, returning its previous value.
 uint64_t atomic_or(uint64_t& slot, uint64_t bits) {
@@ -88,13 +81,8 @@ MsbfsResult msbfs_run(sim::RankContext& ctx, const partition::Part1d& part,
         options.threads_per_rank, size_t(ctx.nranks())));
   bfs::BfsWorkspace& ws = options.workspace ? *options.workspace : *owned_ws;
   ThreadPool& pool = ws.pool();
-  std::unique_ptr<sim::ExchangeChannel<MsbfsMsg>> owned_staging;
-  if (!options.staging) {
-    owned_staging = std::make_unique<sim::ExchangeChannel<MsbfsMsg>>();
-    owned_staging->configure(ctx, options.exchange);
-  }
-  sim::ExchangeChannel<MsbfsMsg>& staging =
-      options.staging ? *options.staging : *owned_staging;
+  auto& staging = ws.batch_visits();
+  staging.configure(ctx, options.exchange);
   ws.frontier().set_encoded(options.exchange.encoding);
 
   MsbfsResult result;
@@ -150,10 +138,8 @@ MsbfsResult msbfs_run(sim::RankContext& ctx, const partition::Part1d& part,
     return claimed;
   };
 
-  // Push level: returns the level's Counts, folded over the world on the
-  // visit exchange.
-  auto run_push = [&] {
-    Counts counts = curr_local;
+  // Push, first half: stage one message per cross-rank frontier arc.
+  auto stage = [&] {
     staging.begin_world(pool.size());
     std::atomic<uint64_t> staged_bits{0};
     size_t parts = pool.size();
@@ -173,8 +159,8 @@ MsbfsResult msbfs_run(sim::RankContext& ctx, const partition::Part1d& part,
             claims.add(visit(space.to_local(owner, v), mask, gsrc));
           } else {
             staging.push(lane, size_t(owner),
-                         MsbfsMsg{uint32_t(space.to_local(owner, v)),
-                                  uint32_t(lloc), mask});
+                         bfs::MsbfsMsg{uint32_t(space.to_local(owner, v)),
+                                       uint32_t(lloc), mask});
             staged += mask_bits;
           }
         }
@@ -184,9 +170,10 @@ MsbfsResult msbfs_run(sim::RankContext& ctx, const partition::Part1d& part,
       merge_claims(claims);
       staged_bits += staged;
     });
-    counts.bound = claim_bits + staged_bits;
-    auto got = staging.exchange(ctx.world, pool,
-                                sim::Rider(counts, FoldCounts{}));
+    return claim_bits + staged_bits;
+  };
+  auto deliver = [&](sim::Rider rider) {
+    auto got = staging.exchange(ctx.world, pool, rider);
     const auto& src_off = staging.src_offsets();
     pool.parallel_for(0, size_t(ctx.nranks()), [&](size_t lo, size_t hi) {
       Claims claims;
@@ -196,13 +183,11 @@ MsbfsResult msbfs_run(sim::RankContext& ctx, const partition::Part1d& part,
                            space.to_global(int(src), Vertex(got[i].src))));
       merge_claims(claims);
     });
-    return counts;
   };
 
-  auto run_pull = [&] {
-    std::span<const uint64_t> gathered =
-        ws.frontier().gather(ctx.world, std::span<const uint64_t>(curr));
-    const std::vector<size_t>& off = ws.frontier().offsets();
+  auto pull = [&] {
+    const bfs::GatheredFrontier frontier = bfs::GatheredFrontier::gather(
+        ctx.world, std::span<const uint64_t>(curr), ws.frontier());
     pool.parallel_for(0, size_t(local_count), [&](size_t lo, size_t hi) {
       uint64_t edges = 0;
       Claims claims;
@@ -215,12 +200,9 @@ MsbfsResult msbfs_run(sim::RankContext& ctx, const partition::Part1d& part,
         for (Vertex u : part.adj.neighbors(lloc)) {
           ++edges;
           int owner = space.owner(u);
-          const size_t word =
-              off[size_t(owner)] + (uint64_t(u) - space.begin(owner));
-          // A block dropped by fault recovery arrives empty: read none of it
-          // (the level rolls back).
-          if (word >= off[size_t(owner) + 1]) continue;
-          uint64_t hits = gathered[word] & pending;
+          uint64_t hits =
+              frontier.word(owner, uint64_t(u) - space.begin(owner)) &
+              pending;
           if (hits == 0) continue;
           found |= hits;
           pending &= ~hits;
@@ -239,11 +221,6 @@ MsbfsResult msbfs_run(sim::RankContext& ctx, const partition::Part1d& part,
       merge_claims(claims);
     });
   };
-
-  // The bound carried from the previous level (replicated), when it was a
-  // push level that committed since the last rollback.
-  bool have_bound = false;
-  uint64_t bound = 0;
 
   // Checkpoint/rollback recovery (sim/recover.hpp), the bfs1d contract
   // extended to the batch: snapshot {visited, frontier, parents, levels}
@@ -274,13 +251,11 @@ MsbfsResult msbfs_run(sim::RankContext& ctx, const partition::Part1d& part,
                        result.parent.begin());
              result.levels = ckpt.levels;
              result.depth = ckpt.depth;
-             // The replayed level counts exactly: no bound survives.
              Claims recount;
              for (uint64_t w : curr) recount.add(w);
              curr_local = {recount.bits, 0, recount.queries};
              claim_bits = 0;
              claim_queries = 0;
-             have_bound = false;
            },
        .crash =
            [&] {
@@ -290,43 +265,11 @@ MsbfsResult msbfs_run(sim::RankContext& ctx, const partition::Part1d& part,
              std::fill(result.parent.begin(), result.parent.end(), kNoVertex);
            }});
 
-  obs::Span run_span("service", "msbfs", width);
-  recovery.checkpoint(0);
-  int iteration = 0;
-  for (;;) {
-    ++iteration;
-    if (!recovery.begin(iteration)) continue;
-    // As in bfs1d: a carried bound at or below the switch threshold proves
-    // push; otherwise count exactly, with one allreduce of the counts.
-    auto above = [&](uint64_t n) {
-      return double(n) / (double(space.total) * width) > options.pull_ratio;
-    };
-    const bool exact = !have_bound || above(bound);
-    Counts counts = curr_local;
-    if (exact) counts = ctx.world.allreduce(counts, FoldCounts{});
-    const uint64_t active = exact ? counts.frontier : bound;
-    const bool bottom_up = exact && above(active);
-    if (active > 0) {
-      obs::Span level_span("service", bottom_up ? "level_pull" : "level_push",
-                           int64_t(active));
-      if (bottom_up)
-        run_pull();
-      else
-        counts = run_push();
-    }
-    // The pass commits nothing until every rank is known clean, so a
-    // rollback discards the level wholesale (including the possibly-poisoned
-    // counts).
-    if (!recovery.commit(iteration)) continue;
-    // An empty frontier ends the batch; the level does not count.
-    if (counts.frontier == 0) {
-      --iteration;
-      break;
-    }
+  auto commit = [&](const Counts& counts, int level) {
     // The queries that discovered vertices in the previous level (their
-    // depth grew to `iteration - 1`) — replicated by the fold.
+    // depth grew to `level - 1`) — replicated by the fold.
     for (int q = 0; q < width; ++q)
-      if (counts.queries >> q & 1) result.levels[size_t(q)] = iteration - 1;
+      if (counts.queries >> q & 1) result.levels[size_t(q)] = level - 1;
     // Depth stamping rides the serial commit: every bit in `next` is fresh
     // (visit/pull only set unvisited bits), so its depth is this level.
     if (options.record_depths)
@@ -335,20 +278,24 @@ MsbfsResult msbfs_run(sim::RankContext& ctx, const partition::Part1d& part,
         while (bits != 0) {
           int q = std::countr_zero(bits);
           bits &= bits - 1;
-          result.depth[size_t(q) * local_count + i] = int32_t(iteration);
+          result.depth[size_t(q) * local_count + i] = int32_t(level);
         }
       }
     for (uint64_t i = 0; i < local_count; ++i) visited[i] |= next[i];
     std::swap(curr, next);
     std::fill(next.begin(), next.end(), uint64_t(0));
     curr_local = {claim_bits.exchange(0), 0, claim_queries.exchange(0)};
-    have_bound = !bottom_up;
-    bound = counts.bound;
-    // Nothing was claimed or sent: the next frontier is empty everywhere.
-    if (have_bound && bound == 0) break;
-    recovery.checkpoint(iteration);
-  }
-  result.num_iterations = iteration;
+  };
+
+  obs::Span run_span("service", "msbfs", width);
+  result.num_iterations = bfs::run_level_loop<Counts, FoldCounts>(
+      ctx, recovery,
+      {.slots = double(space.total) * width, .pull_ratio = options.pull_ratio},
+      bfs::LevelKernels{.local = [&] { return curr_local; },
+                        .stage = stage,
+                        .deliver = deliver,
+                        .pull = pull,
+                        .commit = commit});
   result.compute_model_s = double(result.work_edges) *
                            sim::kModeledSecondsPerEdge / double(pool.size());
   // The collectives advanced the modeled clock by their network seconds;

@@ -5,8 +5,7 @@
 #include <vector>
 
 #include "partition/part1d.hpp"
-#include "sim/comm_buffer.hpp"
-#include "sim/exchange_channel.hpp"
+#include "sim/exchange.hpp"
 #include "sim/fault.hpp"
 #include "sim/runtime.hpp"
 
@@ -29,23 +28,20 @@
 /// parent arrays.  Push levels fold every candidate with a fetch-max; the
 /// bottom-up kernel scans the partition's descending rows (Part1d::adj) and
 /// stops once every pending query has its first — hence max-id — hit.
+///
+/// The level control (direction, exact count or carried bound, rollback,
+/// end rules, checkpoints and the level spans) is bfs1d's: both engines run
+/// bfs::run_level_loop (bfs/level_loop.hpp).  What is the batch's own: one
+/// query-mask word per owned vertex, a push that stages one bfs::MsbfsMsg
+/// per cross-rank frontier arc (bfs/messages.hpp says why not one per
+/// target), a pull over gathered mask words, a commit that stamps levels
+/// and depths, and a modeled compute charge (work_edges x
+/// kModeledSecondsPerEdge / threads) where bfs1d charges measured CPU.
 namespace sunbfs::bfs {
 class BfsWorkspace;
 }
 
 namespace sunbfs::service {
-
-/// One batched visit: receiver-local target, sender-local source (the source
-/// rank is recovered from the alltoallv src_offsets), and the query bit-mask
-/// the source's frontier carries for this edge.  One message per cross-rank
-/// frontier edge — per-target dedup is skipped because the max-parent rule
-/// needs every candidate source, and a per-(target, query) dedup table would
-/// cost W x |V| words per level.
-struct MsbfsMsg {
-  uint32_t dst;
-  uint32_t src;
-  uint64_t mask;
-};
 
 struct MsbfsOptions {
   /// Switch to bottom-up when active (vertex, query) pairs exceed this
@@ -54,13 +50,10 @@ struct MsbfsOptions {
   /// Worker threads per rank; <= 0 means auto.  Ignored when `workspace` is
   /// provided.
   int threads_per_rank = 0;
-  /// Optional resident per-rank workspace (pool + frontier gather buffer),
-  /// shared across batches by the session.
+  /// Optional resident per-rank workspace (pool, frontier gather buffer and
+  /// the batched-visit channel, BfsWorkspace::batch_visits), shared across
+  /// batches by the session; null means a private, cold one per run.
   bfs::BfsWorkspace* workspace = nullptr;
-  /// Optional resident staging channel for the batched visit messages,
-  /// configured by its owner with `exchange`; null means a private pool per
-  /// run (cold — the session keeps a warm one).
-  sim::ExchangeChannel<MsbfsMsg>* staging = nullptr;
   /// Exchange plan of the visit alltoallv and wire encoding of it and the
   /// frontier-word allgather (sim/exchange.hpp).  Results stay bit-identical
   /// across settings (ctest -L differential).
@@ -99,59 +92,3 @@ MsbfsResult msbfs_run(sim::RankContext& ctx, const partition::Part1d& part,
                       const MsbfsOptions& options = {});
 
 }  // namespace sunbfs::service
-
-namespace sunbfs::sim {
-
-/// Wire codec for the batched visit message: `dst` keys the sort/bitmap,
-/// `src` and the query mask follow as varints (sparse batches have few low
-/// bits set; full-width masks fall back to raw via exact measurement).
-template <>
-struct WireFormat<service::MsbfsMsg> {
-  static uint64_t key(const service::MsbfsMsg& m) { return m.dst; }
-  static bool less(const service::MsbfsMsg& a, const service::MsbfsMsg& b) {
-    if (a.dst != b.dst) return a.dst < b.dst;
-    if (a.src != b.src) return a.src < b.src;
-    return a.mask < b.mask;
-  }
-  static size_t rest_size(const service::MsbfsMsg& m) {
-    return varint_size(m.src) + varint_size(m.mask);
-  }
-  static uint8_t* put_rest(const service::MsbfsMsg& m, uint8_t* p) {
-    p = put_varint(p, m.src);
-    return put_varint(p, m.mask);
-  }
-  static const uint8_t* get_rest(const uint8_t* p, const uint8_t* end,
-                                 uint64_t key, service::MsbfsMsg& m) {
-    if (key > UINT32_MAX) return nullptr;
-    uint64_t src = 0, mask = 0;
-    p = get_varint(p, end, &src);
-    if (p == nullptr || src > UINT32_MAX) return nullptr;
-    p = get_varint(p, end, &mask);
-    if (p == nullptr) return nullptr;
-    m.dst = uint32_t(key);
-    m.src = uint32_t(src);
-    m.mask = mask;
-    return p;
-  }
-};
-
-/// Staged-exchange fold for batched visits: two messages for the same
-/// (target, source) pair carry query masks the receiver ORs into the same
-/// next-frontier word, so an intermediate hop may OR them early.  `src` is
-/// *sender-local*, so equality is only meaningful within one source rank —
-/// messages from different src_parts must never merge (same src, different
-/// global vertex), which the src_part guard enforces.
-template <>
-struct ExchangeMergePolicy<service::MsbfsMsg> {
-  static constexpr bool enabled = true;
-  static bool same(const service::MsbfsMsg& a, uint32_t a_src_part,
-                   const service::MsbfsMsg& b, uint32_t b_src_part) {
-    return a_src_part == b_src_part && a.dst == b.dst && a.src == b.src;
-  }
-  static void fold(service::MsbfsMsg& into, uint32_t& /*into_src_part*/,
-                   const service::MsbfsMsg& from, uint32_t /*from_src_part*/) {
-    into.mask |= from.mask;
-  }
-};
-
-}  // namespace sunbfs::sim

@@ -187,14 +187,13 @@ ServiceReport GraphSession::serve(const WorkloadConfig& workload,
     std::vector<int32_t> depth_gather;
     std::vector<size_t> depth_off;
 
-    // Warm staging for the batched visits: one message per cross-rank
-    // frontier edge, bounded by this rank's arc count.
-    sim::ExchangeChannel<MsbfsMsg> staging;
+    // Warm the workspace's batched-visit channel: one message per
+    // cross-rank frontier edge, bounded by this rank's arc count.
     {
       const size_t nt = ws.pool().size();
       const size_t arcs = size_t(part1.adj.num_arcs()) + insert_headroom;
-      staging.configure(ctx, config_.msbfs.exchange);
-      staging.prime(nt, arcs / nt + 64, arcs + 64, arcs + 64);
+      ws.batch_visits().configure(ctx, config_.msbfs.exchange);
+      ws.batch_visits().prime(nt, arcs / nt + 64, arcs + 64, arcs + 64);
     }
     // Resident repair channels + landmark tree state: the sketch's owned
     // parent/depth slices survive between batches so repair_bfs can patch
@@ -212,7 +211,6 @@ ServiceReport GraphSession::serve(const WorkloadConfig& workload,
     MsbfsOptions mopts = config_.msbfs;
     mopts.threads_per_rank = config_.threads_per_rank;
     mopts.workspace = &ws;
-    mopts.staging = &staging;
 
     // ---- Deterministic discrete-event serving loop. ---------------------
     // Broker and workload are identical replicas on every rank; the virtual
@@ -273,7 +271,7 @@ ServiceReport GraphSession::serve(const WorkloadConfig& workload,
     auto note_allocs = [&]() {
       if (warm_captured) return;
       warm_captured = true;
-      warm_allocs = ws.staging_allocs() + staging.allocs() + rchan.allocs();
+      warm_allocs = ws.staging_allocs() + rchan.allocs();
     };
 
     // Cache-probe admission (docs/SERVICE.md "The distance oracle"): the
@@ -709,8 +707,7 @@ ServiceReport GraphSession::serve(const WorkloadConfig& workload,
     // Steady-state allocation proof: the resident pools must stop growing
     // after the first executed batch, faults or not (the chaos suite gates
     // the BFS-workload steady count at zero).
-    const uint64_t total_allocs =
-        ws.staging_allocs() + staging.allocs() + rchan.allocs();
+    const uint64_t total_allocs = ws.staging_allocs() + rchan.allocs();
     const uint64_t warm = warm_captured ? warm_allocs : total_allocs;
     const uint64_t warm_total = ctx.world.allreduce_sum(warm);
     const uint64_t steady_total = ctx.world.allreduce_sum(total_allocs - warm);

@@ -81,7 +81,7 @@ struct ServiceConfig {
   /// Root pool the load generator draws from (degree >= 1 search keys).
   int root_pool = 64;
   uint64_t root_seed = 7;
-  MsbfsOptions msbfs;  ///< workspace/staging fields are managed per rank
+  MsbfsOptions msbfs;  ///< the workspace field is managed per rank
   analytics::SsspOptions sssp;
   /// Distance-oracle cache between the broker and the engines
   /// (src/service/oracle/): LRU of exact trees + landmark sketches +

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "support/check.hpp"
@@ -9,9 +10,9 @@
 /// Dense bit vectors.
 ///
 /// BFS frontiers and visited sets are bit vectors over local vertex ranges
-/// (the paper's "activation bit vectors").  Two flavours are provided:
-/// BitVector for single-writer phases and AtomicBitVector for concurrent
-/// top-down updates.
+/// (the paper's "activation bit vectors").  Threaded kernels share one
+/// BitVector through its atomic accessors, and fetch-max their parent
+/// candidates with store_max.
 namespace sunbfs {
 
 /// Plain dense bit vector with word-level access for fast scans.
@@ -54,9 +55,9 @@ class BitVector {
   }
 
   /// Concurrent-phase accessors: lock-free word operations via
-  /// std::atomic_ref so threaded kernels can share one plain BitVector
-  /// without copying into AtomicBitVector.  Do not mix with the plain
-  /// mutators on the same words within a concurrent phase.
+  /// std::atomic_ref so threaded kernels can share one plain BitVector.
+  /// Do not mix with the plain mutators on the same words within a
+  /// concurrent phase.
   bool atomic_get(size_t i) const {
     SUNBFS_ASSERT(i < nbits_);
     std::atomic_ref<const uint64_t> w(words_[i >> 6]);
@@ -120,49 +121,18 @@ class BitVector {
   std::vector<uint64_t> words_;
 };
 
-/// Bit vector supporting concurrent set operations from multiple threads.
-class AtomicBitVector {
- public:
-  AtomicBitVector() = default;
-  explicit AtomicBitVector(size_t nbits) { resize(nbits); }
-
-  void resize(size_t nbits) {
-    nbits_ = nbits;
-    words_ = std::vector<std::atomic<uint64_t>>((nbits + 63) / 64);
-    reset();
+/// Lock-free fetch-max on a parent or candidate slot.  Every concurrent
+/// writer records its value and the slot ends at the maximum, which does not
+/// depend on scheduling: this is what makes every engine's output
+/// independent of the thread count (all values written to one slot within a
+/// phase share one id space, so the maximum is well-defined).
+template <typename T>
+void store_max(T& slot, std::type_identity_t<T> v) {
+  std::atomic_ref<T> a(slot);
+  T cur = a.load(std::memory_order_relaxed);
+  while (cur < v &&
+         !a.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
   }
-
-  size_t size() const { return nbits_; }
-
-  bool get(size_t i) const {
-    SUNBFS_ASSERT(i < nbits_);
-    return (words_[i >> 6].load(std::memory_order_relaxed) >> (i & 63)) & 1;
-  }
-
-  /// Atomically set bit i; returns true if this call changed it from 0 to 1.
-  bool test_and_set(size_t i) {
-    SUNBFS_ASSERT(i < nbits_);
-    uint64_t mask = uint64_t(1) << (i & 63);
-    uint64_t prev =
-        words_[i >> 6].fetch_or(mask, std::memory_order_relaxed);
-    return (prev & mask) == 0;
-  }
-
-  void reset() {
-    for (auto& w : words_) w.store(0, std::memory_order_relaxed);
-  }
-
-  /// Copy the current contents into a plain BitVector.
-  BitVector snapshot() const {
-    BitVector out(nbits_);
-    for (size_t w = 0; w < words_.size(); ++w)
-      out.data()[w] = words_[w].load(std::memory_order_relaxed);
-    return out;
-  }
-
- private:
-  size_t nbits_ = 0;
-  std::vector<std::atomic<uint64_t>> words_;
-};
+}
 
 }  // namespace sunbfs

@@ -26,6 +26,7 @@
 #include <cstdlib>
 #include <functional>
 #include <optional>
+#include <ostream>
 #include <span>
 #include <string>
 #include <vector>
@@ -689,6 +690,229 @@ TEST(SelfDelivery15d, OneRankSearchStagesNoAlltoallvMessage) {
     EXPECT_EQ(ctx.stats.entry(sim::CollectiveType::Alltoallv).calls, 10u);
     EXPECT_EQ(ctx.stats.entry(sim::CollectiveType::Allgather).calls, 8u);
   });
+}
+
+// ------------------------------- 1D level loop: pinned control decisions
+
+// bfs1d and MS-BFS share one level loop (bfs/level_loop.hpp).  Its control
+// decisions show in the collective counts: an exact count is one allreduce,
+// a push level one alltoallv carrying the rider, a pull level one
+// allgather, and a rollback replays levels.  The values below were pinned
+// from the engines that each kept their own loop; they must not move at any
+// thread count, and a rank failure under Recover at the level after a push
+// level (the level that starts from the carried bound) must replay to the
+// same pins each time, with the fault-free parents.
+struct ControlCounts {
+  int iterations = 0;  // rank 0's; every other field is a total over ranks
+  uint64_t allreduce_calls = 0, allreduce_bytes = 0;
+  uint64_t alltoallv_calls = 0, alltoallv_bytes = 0;
+  uint64_t allgather_calls = 0, allgather_bytes = 0;
+  uint64_t rider_bytes = 0;
+  uint64_t checksum = 0;  // parent_checksum of the ranks' slices in order
+  bool operator==(const ControlCounts&) const = default;
+};
+
+void PrintTo(const ControlCounts& c, std::ostream* os) {
+  *os << "{" << c.iterations << ", " << c.allreduce_calls << ", "
+      << c.allreduce_bytes << ", " << c.alltoallv_calls << ", "
+      << c.alltoallv_bytes << ", " << c.allgather_calls << ", "
+      << c.allgather_bytes << ", " << c.rider_bytes << ", " << c.checksum
+      << "ull}";
+}
+
+enum class ControlGraph { Rmat, Torus };
+
+struct ControlPin {
+  ControlGraph graph;
+  int rows, cols;
+  int width;  // 0 runs bfs1d, else MS-BFS with this many roots
+  ControlCounts clean, failed;
+};
+
+ControlCounts run_control(const ControlPin& pin, int threads, bool fail) {
+  Graph500Config rmat;
+  rmat.scale = 12;
+  rmat.seed = 5;
+  const auto torus = graph::LatticeConfig::torus(16, 256);
+  const bool is_rmat = pin.graph == ControlGraph::Rmat;
+  const uint64_t nv = is_rmat ? rmat.num_vertices() : torus.num_vertices();
+  const Vertex root0 = is_rmat ? pick_root(rmat) : 0;
+  std::vector<Vertex> roots;
+  for (int q = 0; q < std::max(pin.width, 1); ++q)
+    roots.push_back(Vertex((uint64_t(root0) + uint64_t(q) * 1237) % nv));
+
+  const sim::MeshShape mesh{pin.rows, pin.cols};
+  const int nranks = mesh.ranks();
+  partition::VertexSpace space{nv, nranks};
+  sim::FaultPlan plan;
+  plan.add_rank_failure(nranks - 1, 2);
+  sim::SpmdOptions opts;
+  if (fail) {
+    opts.policy = sim::FaultPolicy::Recover;
+    opts.faults = &plan;
+  }
+  std::vector<ControlCounts> per_rank(static_cast<size_t>(nranks));
+  std::vector<std::vector<Vertex>> parents(per_rank.size());
+  auto report = sim::run_spmd(sim::Topology(mesh), [&](sim::RankContext& ctx) {
+    ctx.faults.armed = false;
+    const uint64_t m = is_rmat ? rmat.num_edges() : torus.num_edges();
+    const uint64_t lo = m * uint64_t(ctx.rank) / uint64_t(nranks);
+    const uint64_t hi = m * uint64_t(ctx.rank + 1) / uint64_t(nranks);
+    auto part = partition::build_1d(
+        ctx, space,
+        is_rmat ? graph::generate_rmat_range(rmat, lo, hi)
+                : graph::generate_lattice_range(torus, lo, hi));
+    ctx.stats.reset();
+    ctx.faults.armed = true;
+    ControlCounts& c = per_rank[size_t(ctx.rank)];
+    auto& parent = parents[size_t(ctx.rank)];
+    if (pin.width == 0) {
+      bfs::Bfs1dOptions o;
+      o.threads_per_rank = threads;
+      auto res = bfs::bfs1d_run(ctx, part, roots[0], o);
+      c.iterations = res.num_iterations;
+      parent = std::move(res.parent);
+    } else {
+      service::MsbfsOptions o;
+      o.threads_per_rank = threads;
+      auto res = service::msbfs_run(ctx, part, roots, o);
+      c.iterations = res.num_iterations;
+      parent = std::move(res.parent);
+    }
+    ctx.faults.armed = false;
+    auto take = [&](sim::CollectiveType t, uint64_t& calls, uint64_t& bytes) {
+      calls = ctx.stats.entry(t).calls;
+      bytes = ctx.stats.entry(t).bytes_sent;
+      c.rider_bytes += ctx.stats.entry(t).rider_bytes;
+    };
+    take(sim::CollectiveType::Allreduce, c.allreduce_calls, c.allreduce_bytes);
+    take(sim::CollectiveType::Alltoallv, c.alltoallv_calls, c.alltoallv_bytes);
+    take(sim::CollectiveType::Allgather, c.allgather_calls, c.allgather_bytes);
+  }, opts);
+  EXPECT_TRUE(report.ok()) << report.errors.front();
+  EXPECT_EQ(report.fault_totals().injected_failures, fail ? 1u : 0u);
+
+  ControlCounts total;
+  total.iterations = per_rank[0].iterations;
+  std::vector<Vertex> all;
+  for (int r = 0; r < nranks; ++r) {
+    const ControlCounts& c = per_rank[size_t(r)];
+    total.allreduce_calls += c.allreduce_calls;
+    total.allreduce_bytes += c.allreduce_bytes;
+    total.alltoallv_calls += c.alltoallv_calls;
+    total.alltoallv_bytes += c.alltoallv_bytes;
+    total.allgather_calls += c.allgather_calls;
+    total.allgather_bytes += c.allgather_bytes;
+    total.rider_bytes += c.rider_bytes;
+    all.insert(all.end(), parents[size_t(r)].begin(), parents[size_t(r)].end());
+  }
+  total.checksum = parent_checksum(all);
+  return total;
+}
+
+// Each pin: {iterations, allreduce calls, bytes, alltoallv calls, bytes,
+// allgather calls, bytes, rider bytes, parent checksum}, fault-free and then
+// with the rank failure.
+const ControlPin kControlPins[] = {
+    // clang-format off
+    {ControlGraph::Rmat, 1, 1, 0,
+     {5, 5, 40, 2, 0, 3, 1147, 32, 335848084985522104ull},
+     {5, 12, 72, 3, 0, 3, 1147, 48, 335848084985522104ull}},
+    {ControlGraph::Rmat, 1, 1, 1,
+     {5, 3, 72, 4, 0, 1, 3601, 96, 335848084985522104ull},
+     {5, 10, 120, 5, 0, 1, 3601, 120, 335848084985522104ull}},
+    {ControlGraph::Rmat, 1, 1, 5,
+     {6, 4, 96, 4, 0, 2, 15914, 96, 2795496365110946453ull},
+     {6, 12, 148, 5, 0, 2, 15914, 120, 2795496365110946453ull}},
+    {ControlGraph::Rmat, 1, 1, 64,
+     {6, 4, 96, 4, 0, 2, 65542, 96, 15281411202353945313ull},
+     {6, 12, 148, 5, 0, 2, 65542, 120, 15281411202353945313ull}},
+    {ControlGraph::Rmat, 2, 2, 0,
+     {5, 20, 160, 12, 766, 12, 1169, 192, 335848084985522104ull},
+     {5, 52, 304, 16, 1522, 12, 1169, 256, 335848084985522104ull}},
+    {ControlGraph::Rmat, 2, 2, 1,
+     {5, 16, 384, 20, 204272, 4, 3614, 480, 335848084985522104ull},
+     {5, 48, 592, 24, 205912, 4, 3614, 576, 335848084985522104ull}},
+    {ControlGraph::Rmat, 2, 2, 5,
+     {6, 16, 384, 20, 207740, 8, 15943, 480, 14797133194197748533ull},
+     {6, 52, 608, 24, 209512, 8, 15943, 576, 14797133194197748533ull}},
+    {ControlGraph::Rmat, 2, 2, 64,
+     {6, 16, 384, 20, 680004, 8, 65560, 480, 15246136097888837421ull},
+     {6, 52, 608, 24, 685458, 8, 65560, 576, 15246136097888837421ull}},
+    {ControlGraph::Rmat, 2, 3, 0,
+     {5, 30, 240, 18, 860, 18, 1201, 288, 335848084985522104ull},
+     {5, 78, 456, 24, 1710, 18, 1201, 384, 335848084985522104ull}},
+    {ControlGraph::Rmat, 2, 3, 1,
+     {5, 24, 576, 30, 222836, 6, 3623, 720, 335848084985522104ull},
+     {5, 72, 888, 36, 224674, 6, 3623, 864, 335848084985522104ull}},
+    {ControlGraph::Rmat, 2, 3, 5,
+     {6, 24, 576, 30, 226447, 12, 15960, 720, 13884057462414846845ull},
+     {6, 78, 912, 36, 228381, 12, 15960, 864, 13884057462414846845ull}},
+    {ControlGraph::Rmat, 2, 3, 64,
+     {6, 24, 576, 30, 749290, 12, 65572, 720, 14682439176562439983ull},
+     {6, 78, 912, 36, 755556, 12, 65572, 864, 14682439176562439983ull}},
+    {ControlGraph::Torus, 1, 1, 0,
+     {137, 1, 8, 137, 0, 0, 0, 2192, 15259995753933801468ull},
+     {137, 140, 568, 138, 0, 0, 0, 2208, 15259995753933801468ull}},
+    {ControlGraph::Torus, 1, 1, 1,
+     {137, 1, 24, 137, 0, 0, 0, 3288, 15259995753933801468ull},
+     {137, 140, 600, 138, 0, 0, 0, 3312, 15259995753933801468ull}},
+    {ControlGraph::Torus, 1, 1, 5,
+     {137, 1, 24, 137, 0, 0, 0, 3288, 12418320921042238518ull},
+     {137, 140, 600, 138, 0, 0, 0, 3312, 12418320921042238518ull}},
+    {ControlGraph::Torus, 1, 1, 64,
+     {137, 1, 24, 137, 0, 0, 0, 3288, 22365282984283605ull},
+     {137, 140, 600, 138, 0, 0, 0, 3312, 22365282984283605ull}},
+    {ControlGraph::Torus, 2, 2, 0,
+     {137, 4, 32, 548, 18448, 0, 0, 8768, 15259995753933801468ull},
+     {137, 560, 2272, 552, 18458, 0, 0, 8832, 15259995753933801468ull}},
+    {ControlGraph::Torus, 2, 2, 1,
+     {137, 4, 96, 552, 34832, 0, 0, 13248, 15259995753933801468ull},
+     {137, 564, 2416, 556, 34850, 0, 0, 13344, 15259995753933801468ull}},
+    {ControlGraph::Torus, 2, 2, 5,
+     {137, 4, 96, 552, 45226, 0, 0, 13248, 1321545414572202446ull},
+     {137, 564, 2416, 556, 45280, 0, 0, 13344, 1321545414572202446ull}},
+    {ControlGraph::Torus, 2, 2, 64,
+     {137, 4, 96, 552, 824819, 0, 0, 13248, 13497211159289499837ull},
+     {137, 564, 2416, 556, 825363, 0, 0, 13344, 13497211159289499837ull}},
+    {ControlGraph::Torus, 2, 3, 0,
+     {137, 6, 48, 822, 27736, 0, 0, 13152, 15259995753933801468ull},
+     {137, 840, 3408, 828, 27746, 0, 0, 13248, 15259995753933801468ull}},
+    {ControlGraph::Torus, 2, 3, 1,
+     {137, 6, 144, 828, 52504, 0, 0, 19872, 15259995753933801468ull},
+     {137, 846, 3624, 834, 52522, 0, 0, 20016, 15259995753933801468ull}},
+    {ControlGraph::Torus, 2, 3, 5,
+     {137, 6, 144, 828, 67543, 0, 0, 19872, 12920498884118365378ull},
+     {137, 846, 3624, 834, 67615, 0, 0, 20016, 12920498884118365378ull}},
+    {ControlGraph::Torus, 2, 3, 64,
+     {137, 6, 144, 828, 1253320, 0, 0, 19872, 5749255094805892085ull},
+     {137, 846, 3624, 834, 1254128, 0, 0, 20016, 5749255094805892085ull}},
+    // clang-format on
+};
+
+std::string control_name(const ControlPin& pin, int threads) {
+  return std::string(pin.graph == ControlGraph::Rmat ? "rmat" : "torus") +
+         " " + std::to_string(pin.rows) + "x" + std::to_string(pin.cols) +
+         (pin.width == 0 ? " bfs1d" : " msbfs w" + std::to_string(pin.width)) +
+         " threads " + std::to_string(threads);
+}
+
+TEST(OneDLevelLoop, ControlCountsEqualPinnedValues) {
+  for (const ControlPin& pin : kControlPins)
+    for (int threads : {1, 3})
+      EXPECT_EQ(run_control(pin, threads, false), pin.clean)
+          << control_name(pin, threads);
+}
+
+TEST(OneDLevelLoop, RankFailureAfterPushLevelReplaysToPinnedCounts) {
+  for (const ControlPin& pin : kControlPins)
+    for (int threads : {1, 3}) {
+      const ControlCounts got = run_control(pin, threads, true);
+      EXPECT_EQ(got, pin.failed) << control_name(pin, threads);
+      EXPECT_EQ(got.checksum, pin.clean.checksum)
+          << control_name(pin, threads) << ": parents differ from the "
+          << "fault-free run";
+    }
 }
 
 // --------------------------------------- seeded randomized sweep

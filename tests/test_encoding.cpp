@@ -19,7 +19,6 @@
 #include "bfs/messages.hpp"
 #include "bfs/runner.hpp"
 #include "obs/metrics.hpp"
-#include "service/msbfs.hpp"
 #include "sim/comm_buffer.hpp"
 #include "sim/encoding.hpp"
 #include "sim/runtime.hpp"
@@ -72,7 +71,7 @@ TEST(Varint, ZigzagRoundTripsSignedExtremes) {
 // Field tuples give padding-safe equality across all four wire types.
 auto fields(const bfs::VisitMsg& m) { return std::tuple(m.dst, m.parent); }
 auto fields(const bfs::CompactMsg& m) { return std::tuple(m.dst, m.src); }
-auto fields(const service::MsbfsMsg& m) {
+auto fields(const bfs::MsbfsMsg& m) {
   return std::tuple(m.dst, m.src, m.mask);
 }
 template <typename Value, bool MinGather>
@@ -127,8 +126,8 @@ bfs::CompactMsg make_msg(bfs::CompactMsg*, uint64_t key,
                          Xoshiro256StarStar& rng) {
   return {uint32_t(key), uint32_t(rng.next())};
 }
-service::MsbfsMsg make_msg(service::MsbfsMsg*, uint64_t key,
-                           Xoshiro256StarStar& rng) {
+bfs::MsbfsMsg make_msg(bfs::MsbfsMsg*, uint64_t key,
+                       Xoshiro256StarStar& rng) {
   return {uint32_t(key), uint32_t(rng.next()), rng.next()};
 }
 
@@ -247,7 +246,7 @@ TEST(BlockCodecs, CompactMsgProperties) {
   run_property_suite<bfs::CompactMsg>(UINT32_MAX, "CompactMsg");
 }
 TEST(BlockCodecs, MsbfsMsgProperties) {
-  run_property_suite<service::MsbfsMsg>(UINT32_MAX, "MsbfsMsg");
+  run_property_suite<bfs::MsbfsMsg>(UINT32_MAX, "MsbfsMsg");
 }
 TEST(BlockCodecs, DistMsgProperties) {
   run_property_suite<analytics::DistMsg>(uint64_t(INT64_MAX), "DistMsg");

@@ -99,18 +99,29 @@ TEST(BitVector, SizeMismatchUnionThrows) {
   EXPECT_THROW(a |= b, CheckError);
 }
 
-TEST(AtomicBitVector, ConcurrentSetsCountOnce) {
-  AtomicBitVector bv(1 << 12);
+TEST(BitVector, ConcurrentAtomicSetsCountOnce) {
+  BitVector bv(1 << 12);
   std::atomic<size_t> firsts{0};
   ThreadPool pool(4);
   pool.run_chunks(8, [&](size_t chunk) {
     // All chunks try to set the same bits; each bit reports "first" once.
     for (size_t i = chunk % 2; i < bv.size(); i += 2)
-      if (bv.test_and_set(i)) firsts.fetch_add(1);
+      if (bv.atomic_set(i)) firsts.fetch_add(1);
   });
   EXPECT_EQ(firsts.load(), bv.size());
-  BitVector snap = bv.snapshot();
-  EXPECT_EQ(snap.count(), bv.size());
+  EXPECT_EQ(bv.count(), bv.size());
+}
+
+TEST(StoreMax, ConcurrentCandidatesLeaveTheMaximum) {
+  std::vector<int64_t> slots(64, -1);
+  ThreadPool pool(4);
+  pool.run_chunks(8, [&](size_t chunk) {
+    // Every chunk offers every slot a candidate; chunk 5 offers the largest.
+    for (size_t i = 0; i < slots.size(); ++i)
+      store_max(slots[i], int64_t(i * 8 + (chunk * 3) % 8));
+  });
+  for (size_t i = 0; i < slots.size(); ++i)
+    EXPECT_EQ(slots[i], int64_t(i * 8 + 7));
 }
 
 TEST(Random, SplitMixIsDeterministic) {
