@@ -2,7 +2,10 @@
 // collective round per BFS level, so their round count scales with graph
 // diameter; the relaxed-frontier engine (bfs/bfsasync.hpp) drains each
 // rank's worklist to a local fixpoint between exchanges, so its round count
-// scales with the rank topology instead.  This bench sweeps the diameter
+// scales with the rank topology instead.  An async round costs two
+// collective calls (its alltoallv or frontier gather, then one control fold
+// that carries the next round's frontier depth and load and detects
+// quiescence), after one seed fold.  This bench sweeps the diameter
 // axis with the deterministic lattice generators (graph/lattice.hpp) — a
 // path (diameter n-1), a tall grid, a torus — plus an R-MAT input at the
 // headline regime (diameter ~ log n) and compares each engine's collective

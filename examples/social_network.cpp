@@ -42,6 +42,7 @@ int main(int argc, char** argv) {
   std::vector<graph::Vertex> parent;
   std::vector<analytics::Dist> dist;
   graph::Vertex influencer = 0;
+  int pagerank_iterations = 0;
 
   sim::run_spmd(mesh, [&](sim::RankContext& ctx) {
     bfs::BfsWorkspace ws(resolve_threads_per_rank(0, size_t(ctx.nranks())));
@@ -55,7 +56,8 @@ int main(int argc, char** argv) {
                                      ws.pool());
 
     auto l = analytics::cc15d(ctx, part);
-    auto r = analytics::pagerank15d(ctx, part, degrees);
+    auto pr = analytics::pagerank15d(ctx, part, degrees);
+    const std::vector<double>& r = pr.rank;
 
     // Top influencer = highest PageRank, ties to the smaller member id
     // (owner nominates, world votes; the winner is independent of the
@@ -93,6 +95,7 @@ int main(int argc, char** argv) {
       parent = std::move(gp);
       dist = std::move(gd);
       influencer = winner.v;
+      pagerank_iterations = pr.iterations;
     }
   });
 
@@ -109,8 +112,10 @@ int main(int argc, char** argv) {
               (unsigned long long)std::count(sizes.begin(), sizes.end(), 1ul));
 
   // --- 2. influencers ----------------------------------------------------
-  std::printf("top influencer: member %lld (PageRank %.6f)\n",
-              (long long)influencer, ranks[size_t(influencer)]);
+  std::printf("top influencer: member %lld (PageRank %.6f after %d "
+              "iterations)\n",
+              (long long)influencer, ranks[size_t(influencer)],
+              pagerank_iterations);
 
   // --- 3. degrees of separation ------------------------------------------
   auto levels = graph::levels_from_parents(cfg.num_vertices(), parent,

@@ -15,6 +15,10 @@ namespace {
 /// rank, contribution or gathered sum can exceed 2^62.
 constexpr int kFracBits = 62;
 constexpr uint64_t kOne = uint64_t(1) << kFracBits;
+/// Iteration stops once an iteration moves less than 2^-40 (about 0.9e-12)
+/// of the total mass, summed over every vertex's |Δrank| (L1).
+constexpr int kResidualStopBits = 40;
+constexpr uint64_t kResidualStop = kOne >> kResidualStopBits;
 
 /// x · f for a fixed-point fraction f <= kOne, truncated.
 uint64_t times(uint64_t x, uint64_t f) {
@@ -53,10 +57,10 @@ struct RankProgram {
 };
 }  // namespace
 
-std::vector<double> pagerank15d(sim::RankContext& ctx,
-                                const partition::Part15d& part,
-                                std::span<const uint64_t> local_degrees,
-                                const PageRankOptions& options) {
+PageRankResult pagerank15d(sim::RankContext& ctx,
+                           const partition::Part15d& part,
+                           std::span<const uint64_t> local_degrees,
+                           const PageRankOptions& options) {
   SUNBFS_CHECK(local_degrees.size() == part.local_count);
   SUNBFS_CHECK(options.damping >= 0 && options.damping <= 1);
   const uint64_t n = part.space.total;
@@ -67,22 +71,41 @@ std::vector<double> pagerank15d(sim::RankContext& ctx,
       RankProgram{&part.cls, local_degrees, part.space.begin(ctx.rank),
                   damping});
   engine.initialize([&](Vertex) { return kOne / n; });
-  for (int iter = 0; iter < options.max_iterations; ++iter) {
-    // Dangling mass (degree-0 vertices are always L), spread evenly.
+  // The residual of the last iteration, over owned vertices, rides the next
+  // iteration's dangling-mass sum.  Fixed-point sums are exact and every
+  // vertex has one owner, so every mesh stops on the same iteration.
+  struct Fold {
     uint64_t dangling = 0;
+    uint64_t residual = 0;
+  };
+  std::vector<uint64_t> prev = engine.owned_values();
+  Fold mine;
+  PageRankResult result;
+  for (; result.iterations < options.max_iterations; ++result.iterations) {
+    // Dangling mass (degree-0 vertices are always L), spread evenly.
+    mine.dangling = 0;
     for (uint64_t l = 0; l < part.local_count; ++l)
       if (local_degrees[l] == 0 && !part.local_is_eh.get(l))
-        dangling += engine.local_value(l);
-    dangling = ctx.world.allreduce_sum(dangling);
-    engine.program().base = (kOne - damping + times(dangling, damping)) / n;
-    if (!engine.step()) break;
+        mine.dangling += engine.local_value(l);
+    const Fold all = ctx.world.allreduce(mine, [](Fold a, Fold b) {
+      return Fold{a.dangling + b.dangling, a.residual + b.residual};
+    });
+    if (result.iterations > 0 && all.residual < kResidualStop) break;
+    engine.program().base =
+        (kOne - damping + times(all.dangling, damping)) / n;
+    engine.step();
+    std::vector<uint64_t> next = engine.owned_values();
+    mine.residual = 0;
+    for (size_t i = 0; i < next.size(); ++i)
+      mine.residual +=
+          next[i] > prev[i] ? next[i] - prev[i] : prev[i] - next[i];
+    prev.swap(next);
   }
 
-  std::vector<uint64_t> fixed = engine.owned_values();
-  std::vector<double> out(fixed.size());
-  for (size_t i = 0; i < fixed.size(); ++i)
-    out[i] = std::ldexp(double(fixed[i]), -kFracBits);
-  return out;
+  result.rank.resize(prev.size());
+  for (size_t i = 0; i < prev.size(); ++i)
+    result.rank[i] = std::ldexp(double(prev[i]), -kFracBits);
+  return result;
 }
 
 std::vector<double> reference_pagerank(uint64_t num_vertices,
@@ -104,9 +127,11 @@ std::vector<double> reference_pagerank(uint64_t num_vertices,
       double c = options.damping * rank[v] / double(adj.degree(v));
       for (Vertex u : adj.neighbors(v)) next[size_t(u)] += c;
     }
-    bool changed = next != rank;
+    double residual = 0;
+    for (uint64_t v = 0; v < num_vertices; ++v)
+      residual += std::abs(next[v] - rank[v]);
     rank.swap(next);
-    if (!changed) break;
+    if (residual < std::ldexp(1.0, -kResidualStopBits)) break;
   }
   return rank;
 }

@@ -9,7 +9,6 @@
 #include "bfs/workspace.hpp"
 #include "obs/trace.hpp"
 #include "sim/recover.hpp"
-#include "sim/termination.hpp"
 #include "support/bitvector.hpp"
 #include "support/check.hpp"
 #include "support/thread_pool.hpp"
@@ -65,6 +64,29 @@ constexpr uint64_t kWindowInit = 1;
 constexpr uint64_t kWindowMin = 1;
 constexpr uint64_t kWindowMax = uint64_t(1) << 32;
 
+/// The round's one control reduction.  Each rank contributes its shallowest
+/// queued depth, the entries queued there and their outgoing arcs; the fold
+/// keeps the smaller depth and sums equal ones.  Every bucket below a rank's
+/// shallowest is empty, so the result is exactly the global frontier depth
+/// and the frontier load the direction switch reads.  `arcs` sums every
+/// rank's arc count (static, so any fold yields the total).
+struct Control {
+  uint32_t depth = kNoDepth;  // kNoDepth: nothing queued anywhere
+  uint64_t count = 0;         // entries queued at `depth`, stale included
+  uint64_t mass = 0;          // their outgoing arcs
+  uint64_t arcs = 0;
+};
+
+Control fold_control(const Control& a, const Control& b) {
+  Control out = a.depth < b.depth ? a : b;
+  if (a.depth == b.depth) {
+    out.count = a.count + b.count;
+    out.mass = a.mass + b.mass;
+  }
+  out.arcs = a.arcs + b.arcs;
+  return out;
+}
+
 }  // namespace
 
 BfsAsyncResult bfsasync_run(sim::RankContext& ctx,
@@ -108,12 +130,10 @@ BfsAsyncResult bfsasync_run(sim::RankContext& ctx,
   // through.  A claim improved after enqueue leaves a stale entry behind; the
   // pop-time depth check skips it (the improving claim enqueued it lower).
   std::vector<std::vector<uint32_t>> buckets;
-  size_t work_entries = 0;        // queued entries, stale included
   size_t min_bucket = SIZE_MAX;   // shallowest possibly-nonempty bucket
   auto enqueue = [&](uint32_t depth, uint32_t lloc) {
     if (buckets.size() <= depth) buckets.resize(size_t(depth) + 1);
     buckets[depth].push_back(lloc);
-    ++work_entries;
     if (depth < min_bucket) min_bucket = depth;
   };
   // Lanes collect (depth << 32 | lloc) pushes; flushed serially into the
@@ -134,7 +154,6 @@ BfsAsyncResult bfsasync_run(sim::RankContext& ctx,
   std::vector<uint64_t> remote_cand(space.total, kUnclaimed);
   BitVector remote_dirty(space.total);
   std::vector<uint32_t> best_sent(space.total, kNoDepth);
-  std::vector<uint64_t> lane_sent(pool.size(), 0);
   std::vector<uint64_t> lane_fresh(pool.size(), 0);
   std::vector<uint64_t> lane_relower(pool.size(), 0);
   std::vector<uint64_t> pre_claims;  // apply-phase snapshot for the governor
@@ -195,8 +214,6 @@ BfsAsyncResult bfsasync_run(sim::RankContext& ctx,
   // The partition's rows are sorted by descending global id
   // (Part1d::adj), so the scan's FIRST frontier hit is the max frontier
   // neighbor: bfs1d-pull's early exit and the canonical parent at once.
-  // Global arc count for the edge-mass pull trigger (static, one collective).
-  const uint64_t total_arcs = ctx.world.allreduce_sum(part.adj.num_arcs());
   BitVector pull_bits(local_count);
   // Gathered frontier flattened to global-id bit positions: the pull probe
   // loop touches every arc of every unsettled vertex, so it must not pay the
@@ -249,10 +266,7 @@ BfsAsyncResult bfsasync_run(sim::RankContext& ctx,
     // depth-dmin vertex — local or remote — just got its final claim from
     // its own owner's pull scan, so push-expanding them later would only
     // resend settled claims.
-    if (dmin < buckets.size() && !buckets[dmin].empty()) {
-      work_entries -= buckets[dmin].size();
-      buckets[dmin].clear();
-    }
+    if (dmin < buckets.size()) buckets[dmin].clear();
   };
 
   // Drain the local worklist in depth order up to the speculation window:
@@ -260,22 +274,17 @@ BfsAsyncResult bfsasync_run(sim::RankContext& ctx,
   // globally shallowest queued one with zero communication, accumulating
   // boundary claims in remote_cand.  Deeper entries stay queued for later
   // rounds — they are the speculation most likely to be re-lowered by a
-  // claim still in flight.  Anchoring the window at the global minimum (one
-  // cheap allreduce per round) keeps a rank that ran ahead from exploring
-  // detours ever deeper while the true frontier is still levels behind on
-  // some other rank; on a path only one rank holds work at a time, so the
-  // global anchor degenerates to the local one and full-speed pipelined
-  // drain survives.
+  // claim still in flight.  Anchoring the window at the global minimum keeps
+  // a rank that ran ahead from exploring detours ever deeper while the true
+  // frontier is still levels behind on some other rank; on a path only one
+  // rank holds work at a time, so the global anchor degenerates to the local
+  // one and full-speed pipelined drain survives.
   // Returns true when the round pulled: a pull round emits no boundary
   // candidates, so the caller skips the (empty) alltoallv exchange entirely.
-  // `global_dmin` is the globally shallowest queued depth, carried over from
-  // the previous round's termination probe (the probe's min-fold rider) so
-  // the round needs no dedicated depth allreduce.
-  auto drain = [&](uint32_t global_dmin) {
-    while (min_bucket < buckets.size() && buckets[min_bucket].empty())
-      ++min_bucket;
-    if (global_dmin == kNoDepth)
-      return false;  // all ranks idle: termination round
+  // `control` is the previous round's control fold: the global frontier
+  // depth and its load, so the round needs no allreduce of its own.
+  auto drain = [&](const Control& control) {
+    const uint32_t global_dmin = control.depth;
     // The pending frontier's shape decides push vs pull.  Bucket contents at
     // a round boundary are identical across thread counts and backends, so
     // every config flips direction on the same rounds.  Two triggers, both
@@ -291,21 +300,8 @@ BfsAsyncResult bfsasync_run(sim::RankContext& ctx,
     // Only the still-queued entries count — claims already expanded at this
     // depth by earlier speculation have paid their push, so they argue
     // neither way.
-    struct FrontierLoad {
-      uint64_t count = 0;  // queued entries at global_dmin (stale included)
-      uint64_t mass = 0;   // their outgoing arcs
-    };
-    FrontierLoad load;
-    if (global_dmin < buckets.size()) {
-      load.count = buckets[global_dmin].size();
-      for (uint32_t lloc : buckets[global_dmin])
-        load.mass += part.adj.degree(lloc);
-    }
-    load = ctx.world.allreduce(load, [](FrontierLoad a, FrontierLoad b) {
-      return FrontierLoad{a.count + b.count, a.mass + b.mass};
-    });
-    if (double(load.count) / double(space.total) > options.pull_ratio ||
-        double(load.mass) > double(total_arcs) * options.pull_ratio) {
+    if (double(control.count) / double(space.total) > options.pull_ratio ||
+        double(control.mass) > double(control.arcs) * options.pull_ratio) {
       pull_level(global_dmin);
       return true;
     }
@@ -319,7 +315,7 @@ BfsAsyncResult bfsasync_run(sim::RankContext& ctx,
     // graphs a few hundred within-window speculative entries can be the
     // graph's top hubs holding a tenth of all arcs.
     const uint64_t spec_cap = std::max<uint64_t>(
-        1, uint64_t(double(total_arcs) * options.pull_ratio /
+        1, uint64_t(double(control.arcs) * options.pull_ratio /
                     double(ctx.nranks())));
     size_t d = min_bucket;
     for (; d < buckets.size() && d < limit; ++d) {
@@ -331,7 +327,6 @@ BfsAsyncResult bfsasync_run(sim::RankContext& ctx,
         if (mass > spec_cap) break;
       }
       cur.swap(buckets[d]);
-      work_entries -= cur.size();
       const size_t n = cur.size();
       const size_t parts = std::min(n / kSerialDrain + 1, pool.size());
       if (parts <= 1) {
@@ -351,7 +346,7 @@ BfsAsyncResult bfsasync_run(sim::RankContext& ctx,
 
   // Ship this round's folded boundary claims and apply what arrives;
   // received improvements seed the next round's worklist.
-  auto exchange_round = [&](sim::TerminationDetector& term) {
+  auto exchange_round = [&] {
     channel.begin_world(pool.size());
     {
       const size_t n = remote_dirty.word_count();
@@ -359,7 +354,6 @@ BfsAsyncResult bfsasync_run(sim::RankContext& ctx,
       pool.run_chunks(parts, [&](size_t lane) {
         size_t lo = n * lane / parts;
         size_t hi = n * (lane + 1) / parts;
-        uint64_t cnt = 0;
         remote_dirty.for_each_set_words(lo, hi, [&](size_t v) {
           const uint64_t packed = remote_cand[v];
           remote_cand[v] = kUnclaimed;
@@ -371,18 +365,12 @@ BfsAsyncResult bfsasync_run(sim::RankContext& ctx,
             channel.push(lane, size_t(owner),
                          AsyncVisitMsg{uint32_t(space.to_local(owner, gv)),
                                        claim_parent(packed), d});
-            ++cnt;
           }
         });
-        lane_sent[lane] = cnt;
       });
-      uint64_t sent = 0;
-      for (size_t lane = 0; lane < parts; ++lane) sent += lane_sent[lane];
-      term.note_sent(sent);
       remote_dirty.reset();
     }
     auto got = channel.exchange(ctx.world, pool);
-    term.note_received(got.size());
     const size_t m = got.size();
     // Window feedback, measured against a pre-apply snapshot so the counts
     // are schedule-independent (two lanes racing the same destination would
@@ -426,11 +414,23 @@ BfsAsyncResult bfsasync_run(sim::RankContext& ctx,
       window = std::min(window * 2, kWindowMax);
   };
 
-  // Strict credit counting (sum sent == sum received) holds only when no
-  // messages fold in flight; staged merging plans deliver k same-target
-  // claims as one, so they run the stability-only variant (safe here — every
-  // exchange completes inside the collective, see sim/termination.hpp).
-  sim::TerminationDetector term(!channel.staged());
+  // The round's control fold (see Control).  Every exchange completes inside
+  // its collective, so after the round's exchange or pull has been applied
+  // no claim is in flight anywhere: "nothing queued on any rank" read by one
+  // all-rank fold is quiescence, with no second wave and no message credits.
+  auto control_fold = [&] {
+    while (min_bucket < buckets.size() && buckets[min_bucket].empty())
+      ++min_bucket;
+    Control mine;
+    mine.arcs = part.adj.num_arcs();
+    if (min_bucket < buckets.size()) {
+      mine.depth = uint32_t(min_bucket);
+      mine.count = buckets[min_bucket].size();
+      for (uint32_t lloc : buckets[min_bucket])
+        mine.mass += part.adj.degree(lloc);
+    }
+    return ctx.world.allreduce(mine, fold_control);
+  };
 
   if (space.owner(root) == ctx.rank) {
     uint64_t lloc = space.to_local(ctx.rank, root);
@@ -439,23 +439,20 @@ BfsAsyncResult bfsasync_run(sim::RankContext& ctx,
   }
 
   // Checkpoint/rollback recovery (sim/recover.hpp): snapshot the relaxed
-  // state (claims, worklist, resend suppression, termination credits) every
-  // sim::kCheckpointInterval exchange rounds.  The carried frontier depth
-  // (see the probe rider below) is round state like the window: a rollback
-  // must restore the value the checkpointed round's probe produced, not the
-  // corrupted round's.
-  uint32_t global_dmin = 0;
+  // state (claims, worklist, resend suppression) every
+  // sim::kCheckpointInterval exchange rounds.  The carried control fold is
+  // round state like the window: a rollback must restore the fold the
+  // checkpointed round produced, not the corrupted round's.
+  Control control;
   struct Checkpoint {
     std::vector<uint64_t> claims;
     std::vector<uint64_t> work;  ///< bucket entries, (depth << 32 | lloc)
     std::vector<uint32_t> best_sent;
     uint64_t window = kWindowInit;
-    uint32_t dmin = 0;
-    sim::TerminationDetector::Snapshot term;
+    Control control;
   } ckpt;
   auto clear_work = [&] {
     for (auto& b : buckets) b.clear();
-    work_entries = 0;
     min_bucket = SIZE_MAX;
   };
   sim::Recovery recovery(
@@ -469,8 +466,7 @@ BfsAsyncResult bfsasync_run(sim::RankContext& ctx,
                  ckpt.work.push_back((uint64_t(d) << 32) | lloc);
              ckpt.best_sent = best_sent;
              ckpt.window = window;
-             ckpt.dmin = global_dmin;
-             ckpt.term = term.save();
+             ckpt.control = control;
            },
        .restore =
            [&] {
@@ -480,12 +476,11 @@ BfsAsyncResult bfsasync_run(sim::RankContext& ctx,
                enqueue(uint32_t(e >> 32), uint32_t(e));
              best_sent = ckpt.best_sent;
              window = ckpt.window;
-             global_dmin = ckpt.dmin;
+             control = ckpt.control;
              for (auto& ln : lane_next) ln.clear();
              // remote_cand/remote_dirty are clean between rounds (the
              // emission scan resets every dirty entry), so only the durable
              // state restores.
-             term.restore(ckpt.term);  // also restarts the two-wave handshake
            },
        .crash =
            [&] {
@@ -498,12 +493,10 @@ BfsAsyncResult bfsasync_run(sim::RankContext& ctx,
   obs::Span run_span("bfs", "bfsasync");
   ThreadCpuTimer cpu;
   const double comm0 = ctx.stats.total_modeled_s();
+  // The seed fold: the root's depth and load, and the arc total.
+  control = control_fold();
   recovery.checkpoint(0);
   int round = 0;
-  // Round 1's frontier depth (global_dmin, declared with the checkpoint
-  // state above) is known without communication: the only claim anywhere is
-  // the root at depth 0.  Every later round's depth arrives on the previous
-  // round's probe wave.
   for (;;) {
     ++round;
     obs::Span round_span("bfs", "round", round);
@@ -512,27 +505,17 @@ BfsAsyncResult bfsasync_run(sim::RankContext& ctx,
     if (!recovery.begin(round)) continue;
     ThreadCpuTimer round_cpu;
     // A pull round emits no boundary candidates, so it skips the exchange.
-    const bool pulled = drain(global_dmin);
-    if (!pulled) exchange_round(term);
+    const bool pulled = drain(control);
+    if (!pulled) exchange_round();
     obs::Tracer::advance_modeled(round_cpu.seconds());
-    // Ride next round's frontier depth on the probe's min-fold.
-    while (min_bucket < buckets.size() && buckets[min_bucket].empty())
-      ++min_bucket;
-    const uint64_t local_next = min_bucket >= buckets.size()
-                                    ? uint64_t(kNoDepth)
-                                    : uint64_t(min_bucket);
-    uint64_t next_dmin = 0;
-    const bool quiet =
-        term.probe(ctx.world, work_entries == 0, local_next, &next_dmin);
-    global_dmin = uint32_t(std::min<uint64_t>(next_dmin, kNoDepth));
+    control = control_fold();
     // A corrupted round cannot announce termination: roll back before
-    // honoring the probe.
+    // honoring the fold.
     if (!recovery.commit(round)) continue;
-    if (quiet) break;
+    if (control.depth == kNoDepth) break;
     recovery.checkpoint(round);
   }
   result.rounds = round;
-  result.probe_waves = int(term.waves());
   result.parent.resize(local_count);
   result.depth.resize(local_count);
   pool.parallel_for(0, local_count, [&](size_t lo, size_t hi) {

@@ -15,8 +15,13 @@
 /// engine decouples collective rounds from levels: each rank drains its
 /// local relaxation worklist to a fixpoint — propagating through arbitrarily
 /// many levels of locally owned vertices with zero communication — then
-/// exchanges the folded speculative claims that cross rank boundaries and
-/// probes a counting termination detector (sim/termination.hpp).  Claims are
+/// exchanges the folded speculative claims that cross rank boundaries (or,
+/// on a dense round, gathers the frontier and pulls).  One control
+/// reduction per round closes it: every rank folds its shallowest queued
+/// depth with that depth's entry count and arc mass, which is the next
+/// round's frontier depth and push/pull load at once.  Every exchange
+/// completes inside its collective, so a fold that finds no queued depth on
+/// any rank proves quiescence and ends the run.  Claims are
 /// relaxed, not level-ordered: a vertex's (depth, parent) is taken by atomic
 /// compare-and-lower and may be re-claimed by a shallower visit in a later
 /// round.  Output is only guaranteed correct at quiescence, where the depths
@@ -58,12 +63,10 @@ struct BfsAsyncResult {
   /// Final depths of the owned slice (-1 unreached); at quiescence these
   /// bit-match graph::reference_bfs levels.
   std::vector<int64_t> depth;
-  /// Exchange rounds executed (the async analogue of levels — each cost one
-  /// alltoallv + one termination probe, NOT one round per BFS level).
+  /// Exchange rounds executed (the async analogue of levels — each costs one
+  /// alltoallv or frontier gather plus one control fold, NOT one round per
+  /// BFS level; one seed fold precedes round 1).
   int rounds = 0;
-  /// Termination-detection waves probed (two consecutive agreeing waves end
-  /// the run).
-  int probe_waves = 0;
   double cpu_s = 0;           ///< this rank's compute CPU seconds
   double comm_modeled_s = 0;  ///< modeled network seconds of this run
 };

@@ -55,9 +55,6 @@ class ExchangeChannel {
     row_pool_.set_encoded(options.encoding);
     col_pool_.set_encoded(options.encoding);
   }
-  /// Whether world rounds run the two TwoDCA stages.
-  bool staged() const { return staged_; }
-
   /// Open a direct round over `nparts` peers: plain alltoallv,
   /// byte-identical to A2aStaging (the 1.5D row/column sub-exchanges).
   void begin(size_t nparts, size_t nthreads) {

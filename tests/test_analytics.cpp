@@ -82,7 +82,7 @@ TEST_P(AnalyticsMeshes, PageRankMatchesReference) {
   std::vector<double> got;
   sim::run_spmd(sim::MeshShape{mc.rows, mc.cols}, [&](sim::RankContext& ctx) {
     auto b = build(ctx, cfg, {64, 16});
-    auto ranks = pagerank15d(ctx, b.part, b.degrees, opts);
+    auto ranks = pagerank15d(ctx, b.part, b.degrees, opts).rank;
     auto gathered = ctx.world.allgatherv(std::span<const double>(ranks));
     if (ctx.rank == 0) got = std::move(gathered);
   });
@@ -347,7 +347,7 @@ TEST(PageRank, DampingChangesRanksButNotMass) {
     std::vector<double> out;
     sim::run_spmd(sim::MeshShape{2, 2}, [&](sim::RankContext& ctx) {
       auto b = build(ctx, cfg, {64, 16});
-      auto r = pagerank15d(ctx, b.part, b.degrees, opts);
+      auto r = pagerank15d(ctx, b.part, b.degrees, opts).rank;
       auto g = ctx.world.allgatherv(std::span<const double>(r));
       if (ctx.rank == 0) out = std::move(g);
     });
@@ -378,7 +378,7 @@ TEST(PageRank, BitIdenticalAcrossMeshes) {
     std::vector<double> out;
     sim::run_spmd(mesh, [&](sim::RankContext& ctx) {
       auto b = build(ctx, cfg, {64, 16});
-      auto r = pagerank15d(ctx, b.part, b.degrees, opts);
+      auto r = pagerank15d(ctx, b.part, b.degrees, opts).rank;
       auto g = ctx.world.allgatherv(std::span<const double>(r));
       if (ctx.rank == 0) out = std::move(g);
     });
@@ -393,6 +393,36 @@ TEST(PageRank, BitIdenticalAcrossMeshes) {
     EXPECT_EQ(std::memcmp(got.data(), one.data(), one.size() * sizeof(double)),
               0)
         << mesh.rows << "x" << mesh.cols;
+  }
+}
+
+TEST(PageRank, ResidualStopsAtPinnedIterationOnEveryMesh) {
+  // The social_network example's graph.  Rounding leaves a few ranks
+  // alternating in their last bits, so no exact fixed point is reached
+  // within max_iterations; the exact L1 residual must end the run well
+  // before it, at the same iteration on every mesh shape, with ranks that
+  // still match the reference's.
+  Graph500Config cfg;
+  cfg.scale = 13;
+  cfg.seed = 7;
+  const auto ref =
+      reference_pagerank(cfg.num_vertices(), graph::generate_rmat(cfg));
+  for (sim::MeshShape mesh : {sim::MeshShape{2, 2}, sim::MeshShape{1, 3}}) {
+    std::vector<double> got;
+    int iterations = 0;
+    sim::run_spmd(mesh, [&](sim::RankContext& ctx) {
+      auto b = build(ctx, cfg, {512, 64});
+      auto r = pagerank15d(ctx, b.part, b.degrees);
+      auto g = ctx.world.allgatherv(std::span<const double>(r.rank));
+      if (ctx.rank == 0) {
+        got = std::move(g);
+        iterations = r.iterations;
+      }
+    });
+    EXPECT_EQ(iterations, 42) << mesh.rows << "x" << mesh.cols;
+    ASSERT_EQ(got.size(), ref.size());
+    for (uint64_t v = 0; v < cfg.num_vertices(); ++v)
+      ASSERT_NEAR(got[v], ref[v], 1e-9) << "vertex " << v;
   }
 }
 

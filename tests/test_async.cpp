@@ -1,22 +1,24 @@
 // Asynchronous-engine suite (ctest -L async, also picked up by the
 // differential and faults jobs):
 //
-//   1. TerminationDetector unit tests — delayed credit delivery, the
-//      zero-frontier root, a message-in-flight-at-probe reactivation race,
-//      the non-strict mode staged merging plans need, and rollback restore.
-//   2. Relaxed-correctness differential oracle — bfsasync over seeded
+//   1. Relaxed-correctness differential oracle — bfsasync over seeded
 //      (graph, mesh, threads, encoding, exchange backend) configurations,
 //      R-MAT and high-diameter lattices: the tree passes the kernel-2
 //      validator, every parent sits exactly one level above its child, and
 //      the engine's own depth array bit-matches graph::reference_bfs.
-//   3. Fault recovery — each FaultKind through checkpoint/rollback, with
+//   2. Fault recovery — each FaultKind through checkpoint/rollback, with
 //      recovery provably fired and outputs bit-identical to fault-free.
-//   4. Bit-determinism — parents and depths identical across thread counts,
+//   3. Bit-determinism — parents and depths identical across thread counts,
 //      encoding on/off and exchange backends.
+//   4. Pinned control — rounds, collective calls, alltoallv bytes and an
+//      output checksum per (input, mesh, threads, backend), and rollback
+//      through a rank failure and an alltoallv bit flip.
 //   5. Engine-selection CLI — parse_engine_kind and the typed
 //      unknown-choice rejection every driver prints.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <ostream>
 #include <span>
 #include <string>
 #include <vector>
@@ -29,7 +31,6 @@
 #include "partition/part1d.hpp"
 #include "sim/fault.hpp"
 #include "sim/runtime.hpp"
-#include "sim/termination.hpp"
 
 namespace sunbfs {
 namespace {
@@ -39,105 +40,6 @@ using graph::Graph500Config;
 using graph::LatticeConfig;
 using graph::Vertex;
 using graph::kNoVertex;
-
-// ------------------------------------ termination detector unit tests
-
-// A root whose component is empty of work: the detector still needs two
-// agreeing waves (the first has nothing to compare against).
-TEST(TerminationDetector, ZeroWorkTerminatesOnSecondWave) {
-  std::vector<int> probes;
-  sim::run_spmd(sim::MeshShape{1, 2}, [&](sim::RankContext& ctx) {
-    sim::TerminationDetector term;
-    int p1 = term.probe(ctx.world, true) ? 1 : 0;
-    int p2 = term.probe(ctx.world, true) ? 1 : 0;
-    if (ctx.rank == 0) probes = {p1, p2};
-    EXPECT_EQ(term.waves(), 2u);
-  });
-  EXPECT_EQ(probes, (std::vector<int>{0, 1}));
-}
-
-// A message counted as sent before a probe but delivered only after it:
-// strict credits (sum S != sum R) block the first wave, the counter movement
-// blocks the second, and only the third — stable and balanced — terminates.
-TEST(TerminationDetector, DelayedCreditDeliveryBlocksTermination) {
-  std::vector<int> probes;
-  sim::run_spmd(sim::MeshShape{1, 2}, [&](sim::RankContext& ctx) {
-    sim::TerminationDetector term;
-    if (ctx.rank == 0) term.note_sent(1);
-    int p1 = term.probe(ctx.world, true) ? 1 : 0;   // S=1, R=0: unbalanced
-    if (ctx.rank == 1) term.note_received(1);       // delivery lands late
-    int p2 = term.probe(ctx.world, true) ? 1 : 0;   // balanced but R moved
-    int p3 = term.probe(ctx.world, true) ? 1 : 0;   // stable: terminate
-    if (ctx.rank == 0) probes = {p1, p2, p3};
-  });
-  EXPECT_EQ(probes, (std::vector<int>{0, 0, 1}));
-}
-
-// The classic single-wave hazard: every rank reports idle while a message is
-// still in flight, and its delivery reactivates the receiver (which then
-// sends more).  The two-wave handshake must ride out the whole episode.
-TEST(TerminationDetector, InFlightMessageReactivationIsNotTermination) {
-  std::vector<int> probes;
-  sim::run_spmd(sim::MeshShape{1, 2}, [&](sim::RankContext& ctx) {
-    sim::TerminationDetector term;
-    if (ctx.rank == 0) term.note_sent(1);
-    // Both ranks claim idle, yet rank 0's message is in flight.
-    int p1 = term.probe(ctx.world, true) ? 1 : 0;
-    // It lands: rank 1 wakes up, does work, and replies.
-    if (ctx.rank == 1) {
-      term.note_received(1);
-      term.note_sent(1);
-    }
-    int p2 = term.probe(ctx.world, ctx.rank != 1) ? 1 : 0;  // rank 1 busy
-    if (ctx.rank == 0) term.note_received(1);
-    int p3 = term.probe(ctx.world, true) ? 1 : 0;  // balanced but just moved
-    int p4 = term.probe(ctx.world, true) ? 1 : 0;  // stable: terminate
-    if (ctx.rank == 0) probes = {p1, p2, p3, p4};
-  });
-  EXPECT_EQ(probes, (std::vector<int>{0, 0, 0, 1}));
-}
-
-// Under a staged merging plan k same-target messages arrive as one, so
-// received legitimately undershoots sent: the strict detector would never
-// settle, the non-strict one terminates on stability + idleness alone.
-TEST(TerminationDetector, NonStrictModeToleratesFoldedCredits) {
-  std::vector<int> probes;
-  sim::run_spmd(sim::MeshShape{1, 2}, [&](sim::RankContext& ctx) {
-    sim::TerminationDetector strict(true);
-    sim::TerminationDetector relaxed(false);
-    if (ctx.rank == 0) {
-      strict.note_sent(3);
-      relaxed.note_sent(3);
-    }
-    if (ctx.rank == 1) {  // three claims folded into one delivery
-      strict.note_received(1);
-      relaxed.note_received(1);
-    }
-    int s1 = strict.probe(ctx.world, true) ? 1 : 0;
-    int s2 = strict.probe(ctx.world, true) ? 1 : 0;
-    int r1 = relaxed.probe(ctx.world, true) ? 1 : 0;
-    int r2 = relaxed.probe(ctx.world, true) ? 1 : 0;
-    if (ctx.rank == 0) probes = {s1, s2, r1, r2};
-  });
-  EXPECT_EQ(probes, (std::vector<int>{0, 0, 0, 1}));
-}
-
-// Rollback restores the credit counters and forgets the previous wave, so a
-// replay restarts the two-wave handshake instead of inheriting a stale
-// half-agreement.
-TEST(TerminationDetector, RestoreRestartsTheHandshake) {
-  std::vector<int> probes;
-  sim::run_spmd(sim::MeshShape{1, 2}, [&](sim::RankContext& ctx) {
-    sim::TerminationDetector term;
-    const sim::TerminationDetector::Snapshot snap = term.save();
-    int p1 = term.probe(ctx.world, true) ? 1 : 0;  // first wave
-    term.restore(snap);                            // rollback fires here
-    int p2 = term.probe(ctx.world, true) ? 1 : 0;  // handshake restarted
-    int p3 = term.probe(ctx.world, true) ? 1 : 0;
-    if (ctx.rank == 0) probes = {p1, p2, p3};
-  });
-  EXPECT_EQ(probes, (std::vector<int>{0, 0, 1}));
-}
 
 // ----------------------------------------- async differential oracle
 
@@ -405,6 +307,224 @@ TEST(AsyncDeterminism, OutputsBitIdenticalAcrossThreadsEncodingAndBackends) {
         EXPECT_EQ(got.parent, base.parent);
         EXPECT_EQ(got.depth, base.depth);
       }
+}
+
+// ------------------------------------------------ pinned control
+
+// Each round ends in one control fold (bfsasync.cpp): the next round's
+// frontier depth and push/pull load, and quiescence when nothing is queued
+// anywhere.  The decisions show in the collective counts: one seed fold, then
+// per round one alltoallv (two stage calls under a staged 2dca plan) or one
+// frontier allgather, and one fold.  Bytes and checksums were pinned from the
+// engine that still probed a four-counter termination detector; the rounds
+// are that engine's minus its final empty round.  Nothing may move at any
+// thread count.
+struct ControlCounts {
+  int rounds = 0;  // rank 0's; every other field is a total over ranks
+  uint64_t allreduce_calls = 0, alltoallv_calls = 0, allgather_calls = 0;
+  uint64_t alltoallv_bytes = 0;
+  uint64_t checksum = 0;  // FNV-1a over the parents, then the depths
+  bool operator==(const ControlCounts&) const = default;
+};
+
+void PrintTo(const ControlCounts& c, std::ostream* os) {
+  *os << "{" << c.rounds << ", " << c.allreduce_calls << ", "
+      << c.alltoallv_calls << ", " << c.allgather_calls << ", "
+      << c.alltoallv_bytes << ", " << c.checksum << "ull}";
+}
+
+enum class ControlInput { Rmat, Path, Grid, Torus };
+
+struct ControlPin {
+  ControlInput input;
+  int rows, cols;
+  sim::ExchangeBackend backend;
+  ControlCounts counts;
+};
+
+struct ControlRun {
+  ControlCounts counts;
+  sim::FaultStats faults;
+};
+
+ControlRun run_control(const ControlPin& pin, int threads,
+                       const sim::FaultPlan* faults = nullptr) {
+  Graph500Config rmat;
+  rmat.scale = 11;
+  rmat.seed = 5;
+  LatticeConfig lattice = LatticeConfig::path(2048);
+  if (pin.input == ControlInput::Grid) lattice = LatticeConfig::grid(4, 1024);
+  if (pin.input == ControlInput::Torus) lattice = LatticeConfig::torus(32, 32);
+  const bool is_rmat = pin.input == ControlInput::Rmat;
+  const uint64_t nv = is_rmat ? rmat.num_vertices() : lattice.num_vertices();
+  const Vertex root = is_rmat ? graph::generate_rmat_range(rmat, 0, 1)[0].u
+                              : Vertex(nv / 3);
+
+  const sim::MeshShape mesh{pin.rows, pin.cols};
+  const int nranks = mesh.ranks();
+  partition::VertexSpace space{nv, nranks};
+  sim::SpmdOptions opts;
+  if (faults != nullptr) {
+    opts.policy = sim::FaultPolicy::Recover;
+    opts.faults = faults;
+  }
+  std::vector<ControlCounts> per_rank(static_cast<size_t>(nranks));
+  std::vector<bfs::BfsAsyncResult> results(per_rank.size());
+  auto report = sim::run_spmd(sim::Topology(mesh), [&](sim::RankContext& ctx) {
+    ctx.faults.armed = false;
+    auto part = partition::build_1d(
+        ctx, space,
+        is_rmat ? rmat_slice(rmat, ctx.rank, nranks)
+                : lattice_slice(lattice, ctx.rank, nranks));
+    ctx.stats.reset();
+    bfs::BfsAsyncOptions o;
+    o.threads_per_rank = threads;
+    o.exchange.backend = pin.backend;
+    ctx.faults.armed = true;
+    bfs::BfsAsyncResult& res = results[size_t(ctx.rank)];
+    res = bfs::bfsasync_run(ctx, part, root, o);
+    ctx.faults.armed = false;
+    ControlCounts& c = per_rank[size_t(ctx.rank)];
+    c.rounds = res.rounds;
+    c.allreduce_calls = ctx.stats.entry(sim::CollectiveType::Allreduce).calls;
+    c.alltoallv_calls = ctx.stats.entry(sim::CollectiveType::Alltoallv).calls;
+    c.allgather_calls = ctx.stats.entry(sim::CollectiveType::Allgather).calls;
+    c.alltoallv_bytes =
+        ctx.stats.entry(sim::CollectiveType::Alltoallv).bytes_sent;
+  }, opts);
+  EXPECT_TRUE(report.ok()) << report.errors.front();
+
+  ControlRun run;
+  run.faults = report.fault_totals();
+  ControlCounts& total = run.counts;
+  total.rounds = per_rank[0].rounds;
+  for (const ControlCounts& c : per_rank) {
+    total.allreduce_calls += c.allreduce_calls;
+    total.alltoallv_calls += c.alltoallv_calls;
+    total.allgather_calls += c.allgather_calls;
+    total.alltoallv_bytes += c.alltoallv_bytes;
+  }
+  uint64_t h = 1469598103934665603ull;
+  auto mix = [&](uint64_t word) {
+    h ^= word;
+    h *= 1099511628211ull;
+  };
+  for (const bfs::BfsAsyncResult& r : results)
+    for (Vertex p : r.parent) mix(uint64_t(p));
+  for (const bfs::BfsAsyncResult& r : results)
+    for (int64_t d : r.depth) mix(uint64_t(d));
+  total.checksum = h;
+  return run;
+}
+
+constexpr auto kRmat = ControlInput::Rmat;
+constexpr auto kPath = ControlInput::Path;
+constexpr auto kGrid = ControlInput::Grid;
+constexpr auto kTorus = ControlInput::Torus;
+constexpr auto kDirect = sim::ExchangeBackend::Direct;
+constexpr auto kTwoDCA = sim::ExchangeBackend::TwoDCA;
+
+// Each pin: {rounds, allreduce calls, alltoallv calls, allgather calls,
+// alltoallv bytes, checksum}.
+const ControlPin kControlPins[] = {
+    // clang-format off
+    {kRmat, 1, 2, kDirect, {4, 10, 2, 6, 426, 12350904569179489240ull}},
+    {kRmat, 1, 2, kTwoDCA, {4, 10, 2, 6, 426, 12350904569179489240ull}},
+    {kRmat, 2, 2, kDirect, {4, 20, 4, 12, 610, 12350904569179489240ull}},
+    {kRmat, 2, 2, kTwoDCA, {4, 20, 8, 12, 1248, 12350904569179489240ull}},
+    {kRmat, 2, 3, kDirect, {4, 30, 6, 18, 674, 12350904569179489240ull}},
+    {kRmat, 2, 3, kTwoDCA, {4, 30, 12, 18, 1450, 12350904569179489240ull}},
+    {kPath, 1, 2, kDirect, {11, 24, 22, 0, 28, 16471093736244862230ull}},
+    {kPath, 1, 2, kTwoDCA, {11, 24, 22, 0, 28, 16471093736244862230ull}},
+    {kPath, 2, 2, kDirect, {11, 48, 44, 0, 84, 16471093736244862230ull}},
+    {kPath, 2, 2, kTwoDCA, {11, 48, 88, 0, 206, 16471093736244862230ull}},
+    {kPath, 2, 3, kDirect, {12, 78, 72, 0, 140, 16471093736244862230ull}},
+    {kPath, 2, 3, kTwoDCA, {12, 78, 144, 0, 312, 16471093736244862230ull}},
+    {kGrid, 1, 2, kDirect, {10, 22, 20, 0, 9187, 12387843539782179786ull}},
+    {kGrid, 1, 2, kTwoDCA, {10, 22, 20, 0, 9187, 12387843539782179786ull}},
+    {kGrid, 2, 2, kDirect, {10, 44, 40, 0, 26548, 12387843539782179786ull}},
+    {kGrid, 2, 2, kTwoDCA, {10, 44, 80, 0, 54069, 12387843539782179786ull}},
+    {kGrid, 2, 3, kDirect, {10, 66, 60, 0, 26723, 12387843539782179786ull}},
+    {kGrid, 2, 3, kTwoDCA, {10, 66, 120, 0, 54794, 12387843539782179786ull}},
+    {kTorus, 1, 2, kDirect, {24, 50, 36, 12, 741, 17456091208313392924ull}},
+    {kTorus, 1, 2, kTwoDCA, {24, 50, 36, 12, 741, 17456091208313392924ull}},
+    {kTorus, 2, 2, kDirect, {29, 120, 72, 44, 1113, 17456091208313392924ull}},
+    {kTorus, 2, 2, kTwoDCA, {29, 120, 144, 44, 2776, 17456091208313392924ull}},
+    {kTorus, 2, 3, kDirect, {29, 180, 108, 66, 2150, 17456091208313392924ull}},
+    {kTorus, 2, 3, kTwoDCA, {29, 180, 216, 66, 5200, 17456091208313392924ull}},
+    // clang-format on
+};
+
+std::string control_name(const ControlPin& pin, int threads) {
+  static const char* kInputs[] = {"rmat", "path", "grid", "torus"};
+  return std::string(kInputs[int(pin.input)]) + " " +
+         std::to_string(pin.rows) + "x" + std::to_string(pin.cols) + " " +
+         sim::exchange_backend_name(pin.backend) + " threads " +
+         std::to_string(threads);
+}
+
+TEST(AsyncControl, CountsAndOutputEqualPinnedValues) {
+  for (const ControlPin& pin : kControlPins)
+    for (int threads : {1, 3}) {
+      EXPECT_EQ(run_control(pin, threads).counts, pin.counts)
+          << control_name(pin, threads);
+    }
+}
+
+// A rank failure at round 2 and a flipped bit in rank 2's second alltoallv
+// payload both roll every rank back to the last checkpoint under Recover.
+// The replay must reach the fault-free output, and its counts are pinned
+// too: the output alone cannot show a replay that starts from the wrong
+// carried control fold, because relaxation converges from any frontier
+// depth, but the rounds and bytes it takes to get there do.
+struct RollbackPin {
+  int rows, cols;
+  sim::ExchangeBackend backend;
+  ControlCounts failure, flip;
+};
+
+const RollbackPin kRollbackPins[] = {
+    // clang-format off
+    {2, 2, kDirect,
+     {29, 244, 76, 44, 1113, 17456091208313392924ull},
+     {29, 252, 80, 44, 1244, 17456091208313392924ull}},
+    {2, 2, kTwoDCA,
+     {29, 244, 152, 44, 2776, 17456091208313392924ull},
+     {29, 252, 160, 44, 3081, 17456091208313392924ull}},
+    {2, 3, kDirect,
+     {29, 366, 114, 66, 2176, 17456091208313392924ull},
+     {29, 378, 120, 66, 2252, 17456091208313392924ull}},
+    {2, 3, kTwoDCA,
+     {29, 366, 228, 66, 5250, 17456091208313392924ull},
+     {29, 378, 240, 66, 5398, 17456091208313392924ull}},
+    // clang-format on
+};
+
+TEST(AsyncControl, RollbackReplaysToPinnedCountsAndFaultFreeOutput) {
+  sim::FaultPlan failure;
+  failure.add_rank_failure(1, 2);
+  sim::FaultPlan flip;
+  flip.add_bitflip(2, sim::CollectiveType::Alltoallv, 1);
+  for (const RollbackPin& rp : kRollbackPins) {
+    const ControlPin pin{kTorus, rp.rows, rp.cols, rp.backend, {}};
+    const ControlPin* clean = std::find_if(
+        std::begin(kControlPins), std::end(kControlPins),
+        [&](const ControlPin& p) {
+          return p.input == kTorus && p.rows == rp.rows &&
+                 p.cols == rp.cols && p.backend == rp.backend;
+        });
+    for (int threads : {1, 3}) {
+      const ControlRun failed = run_control(pin, threads, &failure);
+      const ControlRun flipped = run_control(pin, threads, &flip);
+      const std::string name = control_name(pin, threads);
+      EXPECT_GE(failed.faults.recovered, 1u) << name;
+      EXPECT_GE(flipped.faults.recovered, 1u) << name;
+      EXPECT_EQ(failed.counts, rp.failure) << name << ", rank failure";
+      EXPECT_EQ(flipped.counts, rp.flip) << name << ", bit flip";
+      EXPECT_EQ(failed.counts.checksum, clean->counts.checksum) << name;
+      EXPECT_EQ(flipped.counts.checksum, clean->counts.checksum) << name;
+    }
+  }
 }
 
 // ------------------------------------------- engine-selection CLI

@@ -205,7 +205,7 @@ TEST(ChaosSoak, FaultyRunsAreDeterministic) {
 // two corruptions, one hard rank failure) against the full pipeline, every
 // root still validating against the host reference.  The async engine's
 // recoverable surface is different from the level-synchronous engines' —
-// round-indexed checkpoints, termination-credit restore — so the soak pins
+// round-indexed checkpoints, a carried control fold — so the soak pins
 // that rollback-and-replay is equally invisible there.
 TEST(ChaosSoak, AsyncEngineSurvivesRandomFaultPlans) {
   sim::Topology topo(sim::MeshShape{2, 2});
