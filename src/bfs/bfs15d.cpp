@@ -13,7 +13,6 @@
 #include "bfs/vertex_cut.hpp"
 #include "support/check.hpp"
 #include "support/log.hpp"
-#include "support/prefix.hpp"
 #include "support/timer.hpp"
 
 namespace sunbfs::bfs {
@@ -110,7 +109,6 @@ class Engine {
     {
       ws_.compact().configure(ctx_, opts_.exchange);
       ws_.visits().configure(ctx_, opts_.exchange);
-      ws_.frontier().set_encoded(opts_.exchange.encoding);
       const size_t nt = pool_.size();
       const size_t ranks = size_t(mesh_.ranks());
       const size_t cols = size_t(mesh_.cols);
@@ -585,22 +583,24 @@ class Engine {
         // active h (whose bits are valid here — this rank is in h's
         // column), and send one message per newly found vertex instead of
         // one per edge.
-        GatheredFrontier row_visited =
-            GatheredFrontier::gather(ctx_.row, l_visited_, ws_.frontier());
+        const FrontierView row_visited = ws_.frontier().gather(
+            ctx_.row, part_.space, l_visited_, opts_.exchange.encoding);
+        const uint64_t row_begin =
+            part_.space.begin(mesh_.rank_of(my_row_, 0));
         par_ranges(part_.h2l_by_l.num_rows(), [&](size_t lane, size_t lo,
                                                   size_t hi) {
-          size_t col = upper_offset_index(part_.row_l_offsets, uint64_t(lo));
           for (uint64_t rl = lo; rl < hi; ++rl) {
             if (part_.h2l_by_l.degree(rl) == 0) continue;
-            while (part_.row_l_offsets[col + 1] <= rl) ++col;
-            uint64_t lloc = rl - part_.row_l_offsets[col];
-            if (row_visited.get(int(col), lloc)) continue;
+            const Vertex l = Vertex(row_begin + rl);
+            if (row_visited.test(l)) continue;
             for (Vertex h : part_.h2l_by_l.neighbors(rl)) {
               if (eh_curr_.get(uint64_t(h))) {
-                if (col == size_t(my_col_))
+                const int owner = part_.space.owner(l);
+                const uint64_t lloc = uint64_t(l) - part_.space.begin(owner);
+                if (owner == ctx_.rank)
                   visit_local_l_mt(lloc, part_.cls.eh_to_global(uint64_t(h)));
                 else
-                  staging.push(lane, col,
+                  staging.push(lane, size_t(mesh_.col_of(owner)),
                                CompactMsg{uint32_t(lloc), uint32_t(h)});
                 break;  // early exit: one message per vertex
               }
@@ -662,15 +662,13 @@ class Engine {
       } else {
         // Pull at the H2L storage ranks: L frontier gathered along the row
         // (the allgather component of Figure 11).
-        GatheredFrontier row_frontier =
-            GatheredFrontier::gather(ctx_.row, l_curr_, ws_.frontier());
+        const FrontierView row_frontier = ws_.frontier().gather(
+            ctx_.row, part_.space, l_curr_, opts_.exchange.encoding);
         pool_.parallel_for(num_e_, k_, [&](size_t klo, size_t khi) {
           for (uint64_t h = klo; h < khi; ++h) {
             if (eh_visited_.get(h) || eh_next_local_.atomic_get(h)) continue;
             for (Vertex l : part_.h2l.neighbors(h)) {
-              int owner = part_.space.owner(l);
-              uint64_t lloc = uint64_t(l) - part_.space.begin(owner);
-              if (row_frontier.get(mesh_.col_of(owner), lloc)) {
+              if (row_frontier.test(l)) {
                 visit_eh_mt(h, l);
                 break;
               }
@@ -729,15 +727,13 @@ class Engine {
                   part_.space.to_global(int(src), got[i].src));
         });
       } else {
-        GatheredFrontier world_frontier =
-            GatheredFrontier::gather(ctx_.world, l_curr_, ws_.frontier());
+        const FrontierView world_frontier = ws_.frontier().gather(
+            ctx_.world, part_.space, l_curr_, opts_.exchange.encoding);
         pool_.parallel_for(0, local_count_, [&](size_t lo, size_t hi) {
           for (uint64_t lloc = lo; lloc < hi; ++lloc) {
             if (l_visited_.get(lloc) || part_.local_is_eh.get(lloc)) continue;
             for (Vertex l2 : part_.l2l.neighbors(lloc)) {
-              int owner = part_.space.owner(l2);
-              uint64_t l2loc = uint64_t(l2) - part_.space.begin(owner);
-              if (world_frontier.get(owner, l2loc)) {
+              if (world_frontier.test(l2)) {
                 visit_local_l_mt(lloc, l2);
                 break;
               }

@@ -3,8 +3,8 @@
 #include <atomic>
 #include <memory>
 
-#include "bfs/gathered_frontier.hpp"
 #include "bfs/level_loop.hpp"
+#include "bfs/gathered_frontier.hpp"
 #include "bfs/messages.hpp"
 #include "bfs/workspace.hpp"
 #include "obs/trace.hpp"
@@ -43,7 +43,6 @@ Bfs1dResult bfs1d_run(sim::RankContext& ctx, const partition::Part1d& part,
     const size_t nt = pool.size();
     const size_t total = size_t(space.total);
     ws.compact().configure(ctx, options.exchange);
-    ws.frontier().set_encoded(options.exchange.encoding);
     ws.compact().prime(nt, total / nt + 65, total,
                        size_t(ctx.nranks()) * size_t(local_count));
   }
@@ -201,15 +200,14 @@ Bfs1dResult bfs1d_run(sim::RankContext& ctx, const partition::Part1d& part,
   };
   auto pull = [&] {
     level_cpu.reset();
-    GatheredFrontier frontier =
-        GatheredFrontier::gather(ctx.world, curr, ws.frontier());
+    const FrontierView frontier = ws.frontier().gather(
+        ctx.world, space, curr, options.exchange.encoding);
     pool.parallel_for(0, local_count, [&](size_t lo, size_t hi) {
       uint64_t fresh = 0;
       for (uint64_t lloc = lo; lloc < hi; ++lloc) {
         if (visited.get(lloc)) continue;
         for (Vertex u : part.adj.neighbors(lloc)) {
-          int owner = space.owner(u);
-          if (frontier.get(owner, uint64_t(u) - space.begin(owner))) {
+          if (frontier.test(u)) {
             fresh += visit(lloc, u);
             break;  // descending row: the first hit is the max-id parent
           }

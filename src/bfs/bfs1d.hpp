@@ -32,7 +32,7 @@ struct Bfs1dOptions {
   sim::RecoveryOptions recovery;
   /// Exchange plan of the push alltoallv — the direct collective or the 2D
   /// row/column split (2dca) — and wire encoding of it and the frontier
-  /// allgather (sim/exchange.hpp); applied to the workspace pools each run.
+  /// allgather (sim/exchange.hpp); applied to the workspace each run.
   /// Parents stay bit-identical across settings (ctest -L differential).
   sim::ExchangeOptions exchange;
 };

@@ -1,8 +1,6 @@
 #include "bfs/bfsasync.hpp"
 
 #include <atomic>
-#include <bit>
-#include <span>
 #include <memory>
 
 #include "bfs/messages.hpp"
@@ -215,35 +213,13 @@ BfsAsyncResult bfsasync_run(sim::RankContext& ctx,
   // (Part1d::adj), so the scan's FIRST frontier hit is the max frontier
   // neighbor: bfs1d-pull's early exit and the canonical parent at once.
   BitVector pull_bits(local_count);
-  // Gathered frontier flattened to global-id bit positions: the pull probe
-  // loop touches every arc of every unsettled vertex, so it must not pay the
-  // owner() division per probe that GatheredFrontier::get would cost.
-  std::vector<uint64_t> flat_front((space.total + 63) / 64);
   auto pull_level = [&](uint32_t dmin) {
     obs::Span span("bfs", "round_pull", int64_t(dmin));
     pull_bits.reset();
     for (uint64_t lloc = 0; lloc < local_count; ++lloc)
       if (claim_depth(claims[lloc]) == dmin) pull_bits.set(lloc);
-    auto& gbuf = ws.frontier();
-    std::span<const uint64_t> gathered = gbuf.gather(
-        ctx.world, std::span<const uint64_t>(pull_bits.data(),
-                                             pull_bits.word_count()));
-    const std::vector<size_t>& goff = gbuf.offsets();
-    std::fill(flat_front.begin(), flat_front.end(), 0);
-    for (int r = 0; r < ctx.nranks(); ++r) {
-      const uint64_t base = space.begin(r);
-      // A corrupted contribution comes back empty (verify_source); the short
-      // span reads as an all-zero slice here and the round rolls back.
-      const uint64_t nwords = std::min<uint64_t>(
-          (space.count(r) + 63) / 64, goff[size_t(r) + 1] - goff[r]);
-      const uint64_t* w = gathered.data() + goff[r];
-      for (uint64_t j = 0; j < nwords; ++j) {
-        for (uint64_t word = w[j]; word; word &= word - 1) {
-          const uint64_t g = base + j * 64 + uint64_t(std::countr_zero(word));
-          flat_front[g >> 6] |= uint64_t(1) << (g & 63);
-        }
-      }
-    }
+    const FrontierView front = ws.frontier().gather(
+        ctx.world, space, pull_bits, options.exchange.encoding);
     const uint64_t cand_depth = uint64_t(dmin) + 1;
     const size_t n = size_t(local_count);
     const size_t parts = std::min(n / kSerialDrain + 1, pool.size());
@@ -253,9 +229,8 @@ BfsAsyncResult bfsasync_run(sim::RankContext& ctx,
            ++lloc) {
         if (claim_depth(claims[lloc]) <= dmin) continue;  // settled
         for (Vertex v : part.adj.neighbors(lloc)) {
-          const uint64_t u = uint64_t(v);
-          if (!((flat_front[u >> 6] >> (u & 63)) & 1)) continue;
-          if (try_claim(lloc, pack_claim(uint32_t(cand_depth), uint32_t(u))))
+          if (!front.test(v)) continue;
+          if (try_claim(lloc, pack_claim(uint32_t(cand_depth), uint32_t(v))))
             out.push_back((cand_depth << 32) | lloc);
           break;  // descending scan: first hit is the max frontier neighbor
         }

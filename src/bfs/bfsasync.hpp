@@ -42,9 +42,10 @@ struct BfsAsyncOptions {
   /// checkpoint cadence counts exchange rounds here (there are no levels
   /// to count).
   sim::RecoveryOptions recovery;
-  /// Exchange plan and wire encoding of the visit exchanges
-  /// (sim/exchange.hpp).  Staged plans fold same-target speculative visits
-  /// in flight to their minimum depth.
+  /// Exchange plan and wire encoding of the visit exchanges, and wire
+  /// encoding of the dense rounds' frontier gather (sim/exchange.hpp).
+  /// Staged plans fold same-target speculative visits in flight to their
+  /// minimum depth.
   sim::ExchangeOptions exchange;
   /// Dense-round direction switch: the round gathers the settled frontier
   /// (all claims at the global minimum queued depth — final by monotonicity)

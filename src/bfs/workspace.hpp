@@ -2,8 +2,8 @@
 
 #include <cstdint>
 
+#include "bfs/gathered_frontier.hpp"
 #include "bfs/messages.hpp"
-#include "sim/comm_buffer.hpp"
 #include "sim/exchange_channel.hpp"
 #include "support/thread_pool.hpp"
 
@@ -36,8 +36,8 @@ class BfsWorkspace {
   /// Staging pool for full-width visit messages (the 1.5D engine's
   /// delayed-parent delivery).
   sim::ExchangeChannel<VisitMsg>& visits() { return visits_; }
-  /// Reused frontier-gather receive buffer for the pull kernels.
-  sim::GatherBuffer<uint64_t>& frontier() { return frontier_; }
+  /// The pull kernels' frontier gather (bfs/gathered_frontier.hpp).
+  FrontierGather& frontier() { return frontier_; }
   /// Staging pool for the asynchronous engine's speculative visit rounds
   /// (bfs/bfsasync.cpp): depth-carrying messages with a min-depth in-flight
   /// fold.
@@ -56,7 +56,7 @@ class BfsWorkspace {
   ThreadPool pool_;
   sim::ExchangeChannel<CompactMsg> compact_;
   sim::ExchangeChannel<VisitMsg> visits_;
-  sim::GatherBuffer<uint64_t> frontier_;
+  FrontierGather frontier_;
   sim::ExchangeChannel<AsyncVisitMsg> async_;
   sim::ExchangeChannel<MsbfsMsg> batch_;
 };

@@ -78,16 +78,15 @@ ApplyStats apply_batch_15d(const sim::MeshShape& mesh, int rank,
                            const MutationBatch& batch) {
   const partition::VertexSpace& space = part.space;
   const partition::EhlTable& cls = part.cls;
-  [[maybe_unused]] const int my_row = mesh.row_of(rank);
+  const int my_row = mesh.row_of(rank);
+  const uint64_t row_begin = space.begin(mesh.rank_of(my_row, 0));
   ApplyStats stats;
   auto eh_rank = [&](uint64_t eh_id) {
     return part.eh_space.owner(graph::Vertex(eh_id));
   };
   auto row_local = [&](graph::Vertex l) {
-    int owner = space.owner(l);
-    SUNBFS_ASSERT(mesh.row_of(owner) == my_row);
-    return part.row_l_offsets[size_t(mesh.col_of(owner))] +
-           space.to_local(owner, l);
+    SUNBFS_ASSERT(mesh.row_of(space.owner(l)) == my_row);
+    return uint64_t(l) - row_begin;
   };
 
   // One edge op lands on the exact CSR rows build_15d would have routed its

@@ -56,47 +56,6 @@ struct RepairState {
   }
 };
 
-/// Cascade invalidation of the BFS repair.  `seed_round` stages the
-/// deletion-support revocations (round 0); `push_from` stages one
-/// invalidated vertex's revocations; `on_msg` applies one received
-/// revocation, returning the local index to invalidate or -1.
-template <typename SeedFn, typename PushFn, typename MsgFn>
-void run_cascade(sim::RankContext& ctx, const partition::VertexSpace& space,
-                 sim::ExchangeChannel<InvMsg>& ch, ThreadPool& pool,
-                 RepairState& st, RepairStats& stats, SeedFn&& seed_round,
-                 PushFn&& push_from, MsgFn&& on_msg) {
-  bool first = true;
-  for (;;) {
-    ch.begin_world(1);
-    uint64_t staged = 0;
-    auto push = [&](Vertex dst, uint64_t val) {
-      ch.push(0, size_t(space.owner(dst)), InvMsg{dst, val});
-      ++staged;
-    };
-    if (first) {
-      seed_round(push);
-      first = false;
-    }
-    for (uint32_t lv : st.wave) push_from(lv, push);
-    st.wave.clear();
-    // The staged count rides the round's exchange; a round nobody staged
-    // for delivers nothing and ends the cascade.
-    std::span<const InvMsg> got =
-        ch.exchange(ctx.world, pool, sim::Rider(staged, std::plus<>{}));
-    if (staged == 0) break;
-    ++stats.cascade_rounds;
-    for (const InvMsg& m : got) {
-      uint64_t lv = space.to_local(ctx.rank, m.dst);
-      if (st.invalid.get(size_t(lv))) continue;
-      if (on_msg(lv, m)) {
-        st.invalidate(lv, stats);
-      } else {
-        st.boundary.set(size_t(lv));
-      }
-    }
-  }
-}
-
 }  // namespace
 
 RepairStats repair_bfs(sim::RankContext& ctx, const partition::Part1d& part,
@@ -126,8 +85,7 @@ RepairStats repair_bfs(sim::RankContext& ctx, const partition::Part1d& part,
   // ---- Phase 1: cascade invalidation. ---------------------------------
   // Deletion seeds need no round trip: the parent array stores the global
   // parent id, so the owner of the child checks the revoked tree edge
-  // locally.  The seed round therefore stages nothing; seeds go straight
-  // into the first wave.
+  // locally; seeds go straight into the first wave.
   for (const graph::Edge& e : batch.deletes) {
     auto seed = [&](Vertex child, Vertex lost_parent) {
       if (child == root || space.owner(child) != ctx.rank) return;
@@ -140,19 +98,36 @@ RepairStats repair_bfs(sim::RankContext& ctx, const partition::Part1d& part,
   }
   stats.seeds = st.wave.size();
 
-  run_cascade(
-      ctx, space, ch.inv, pool, st, stats,
-      /*seed_round=*/[&](auto&& /*push*/) {},
-      /*push_from=*/
-      [&](uint32_t lv, auto&& push) {
-        Vertex g = space.to_global(ctx.rank, lv);
-        for (Vertex nbr : part.adj.neighbors(lv)) push(nbr, uint64_t(g));
-        arcs_scanned += part.adj.degree(lv);
-      },
-      /*on_msg=*/
-      [&](uint64_t lv, const InvMsg& m) {
-        return parent[lv] == Vertex(m.val) && m.dst != root;
-      });
+  // Each round stages every newly invalidated vertex's revocations; a
+  // receiver invalidates its vertex if the revoked edge was its tree edge,
+  // and otherwise marks it a repair boundary.  The staged count rides the
+  // round's exchange; a round nobody staged for delivers nothing and ends
+  // the cascade.
+  for (;;) {
+    ch.inv.begin_world(1);
+    uint64_t staged = 0;
+    for (uint32_t lv : st.wave) {
+      Vertex g = space.to_global(ctx.rank, lv);
+      for (Vertex nbr : part.adj.neighbors(lv)) {
+        ch.inv.push(0, size_t(space.owner(nbr)), InvMsg{nbr, uint64_t(g)});
+        ++staged;
+      }
+      arcs_scanned += part.adj.degree(lv);
+    }
+    st.wave.clear();
+    std::span<const InvMsg> got =
+        ch.inv.exchange(ctx.world, pool, sim::Rider(staged, std::plus<>{}));
+    if (staged == 0) break;
+    ++stats.cascade_rounds;
+    for (const InvMsg& m : got) {
+      uint64_t lv = space.to_local(ctx.rank, m.dst);
+      if (st.invalid.get(size_t(lv))) continue;
+      if (parent[lv] == Vertex(m.val) && m.dst != root)
+        st.invalidate(lv, stats);
+      else
+        st.boundary.set(size_t(lv));
+    }
+  }
 
   // ---- Phase 2: reset + repair relaxation. ----------------------------
   st.invalid.for_each_set([&](size_t lv) {

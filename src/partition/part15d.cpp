@@ -53,7 +53,6 @@ Part15d build_15d(sim::RankContext& ctx, const VertexSpace& space,
   part.space = space;
   part.cls = classify_vertices(ctx, space, local_degrees, thresholds);
   part.eh_space = CyclicSpace{part.cls.num_eh(), mesh.ranks()};
-  part.local_begin = space.begin(ctx.rank);
   part.local_count = space.count(ctx.rank);
   part.local_is_eh.resize(part.local_count);
   for (uint64_t l = 0; l < part.local_count; ++l)
@@ -160,17 +159,16 @@ Part15d build_15d(sim::RankContext& ctx, const VertexSpace& space,
   auto hl_run = run_of(kHl);
   part.h2l = build(hl_run, k, true, ident, ident);
   {
-    // Destination-major mirror of H2L over the row-local L index space.
-    part.row_l_offsets.assign(size_t(mesh.cols) + 1, 0);
-    int myrow = mesh.row_of(ctx.rank);
-    for (int c = 0; c < mesh.cols; ++c)
-      part.row_l_offsets[size_t(c) + 1] =
-          part.row_l_offsets[size_t(c)] + space.count(mesh.rank_of(myrow, c));
+    // Destination-major mirror of H2L over the row-local L index space: the
+    // row's ranks are consecutive, so their L vertices are one contiguous
+    // global range starting at its first rank's.
+    const int myrow = mesh.row_of(ctx.rank);
+    const uint64_t row_begin = space.begin(mesh.rank_of(myrow, 0));
+    const uint64_t row_count =
+        space.end(mesh.rank_of(myrow, mesh.cols - 1)) - row_begin;
     auto row_local = [&](graph::Vertex l) {
-      int owner = space.owner(l);
-      SUNBFS_ASSERT(mesh.row_of(owner) == myrow);
-      return graph::Vertex(part.row_l_offsets[size_t(mesh.col_of(owner))] +
-                           space.to_local(owner, l));
+      SUNBFS_ASSERT(mesh.row_of(space.owner(l)) == myrow);
+      return graph::Vertex(uint64_t(l) - row_begin);
     };
     std::vector<graph::Vertex> rows, vals;
     rows.reserve(hl_run.size());
@@ -179,8 +177,7 @@ Part15d build_15d(sim::RankContext& ctx, const VertexSpace& space,
       rows.push_back(row_local(m.b));
       vals.push_back(graph::Vertex(m.a()));
     }
-    part.h2l_by_l =
-        graph::Csr::from_arcs(part.row_l_offsets.back(), rows, vals);
+    part.h2l_by_l = graph::Csr::from_arcs(row_count, rows, vals);
   }
   part.l2h = build(run_of(kLh), part.local_count, false, to_local, ident);
   part.l2l = build(run_of(kLl), part.local_count, true, to_local, ident);

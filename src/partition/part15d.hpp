@@ -45,7 +45,6 @@ struct Part15d {
   CyclicSpace eh_space;  ///< EH id ownership (cyclic over [0, num_eh))
   EhlTable cls;          ///< replicated classification table
 
-  uint64_t local_begin = 0;  ///< first owned original vertex
   uint64_t local_count = 0;  ///< owned original vertices
   /// Owned original vertex (local index) -> vertex is E or H (its traversal
   /// state lives in the EH arrays, not the local L arrays).
@@ -57,13 +56,11 @@ struct Part15d {
   graph::Csr l2e;        ///< rows: local l, values: EH id (E)
   graph::Csr h2l;        ///< rows: EH id (H), values: global l id
   /// Same arcs as h2l, destination-major ("stored by the destination
-  /// index", §4.3): rows are row-local L indices (all L vertices owned by
-  /// ranks in this mesh row, concatenated in column order), values are EH
-  /// ids of h.  Drives the H2L bottom-up at the storage rank.
+  /// index", §4.3): values are EH ids of h, and row i is vertex
+  /// space.begin(rank_of(my row, 0)) + i — a mesh row's ranks are
+  /// consecutive, so their vertices are one contiguous range.  Drives the
+  /// H2L bottom-up at the storage rank.
   graph::Csr h2l_by_l;
-  /// row_l_offsets[c] is the row-local index of the first vertex owned by
-  /// the rank in mesh column c of this row (size cols + 1).
-  std::vector<uint64_t> row_l_offsets;
   graph::Csr l2h;        ///< rows: local l, values: EH id (H)
   graph::Csr l2l;        ///< rows: local l, values: global l' id
 

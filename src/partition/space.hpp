@@ -22,7 +22,7 @@ struct VertexSpace {
   }
   uint64_t count(int rank) const { return end(rank) - begin(rank); }
 
-  /// Largest block size over all ranks (for sizing gathered frontiers).
+  /// Largest block size over all ranks.
   uint64_t max_count() const {
     uint64_t m = 0;
     for (int r = 0; r < nranks; ++r) m = std::max(m, count(r));

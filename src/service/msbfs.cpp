@@ -83,7 +83,6 @@ MsbfsResult msbfs_run(sim::RankContext& ctx, const partition::Part1d& part,
   ThreadPool& pool = ws.pool();
   auto& staging = ws.batch_visits();
   staging.configure(ctx, options.exchange);
-  ws.frontier().set_encoded(options.exchange.encoding);
 
   MsbfsResult result;
   result.width = width;
@@ -186,8 +185,9 @@ MsbfsResult msbfs_run(sim::RankContext& ctx, const partition::Part1d& part,
   };
 
   auto pull = [&] {
-    const bfs::GatheredFrontier frontier = bfs::GatheredFrontier::gather(
-        ctx.world, std::span<const uint64_t>(curr), ws.frontier());
+    const bfs::FrontierView frontier = ws.frontier().gather(
+        ctx.world, space, curr, bfs::FrontierLayout::Words,
+        options.exchange.encoding);
     pool.parallel_for(0, size_t(local_count), [&](size_t lo, size_t hi) {
       uint64_t edges = 0;
       Claims claims;
@@ -199,10 +199,7 @@ MsbfsResult msbfs_run(sim::RankContext& ctx, const partition::Part1d& part,
         uint64_t found = 0;
         for (Vertex u : part.adj.neighbors(lloc)) {
           ++edges;
-          int owner = space.owner(u);
-          uint64_t hits =
-              frontier.word(owner, uint64_t(u) - space.begin(owner)) &
-              pending;
+          uint64_t hits = frontier.word(u) & pending;
           if (hits == 0) continue;
           found |= hits;
           pending &= ~hits;

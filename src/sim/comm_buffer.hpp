@@ -10,7 +10,8 @@
 #include "support/check.hpp"
 #include "support/thread_pool.hpp"
 
-/// Reusable communication staging buffers.
+/// Reusable alltoallv staging buffers.  (The pull kernels' frontier
+/// allgather has its own buffers: bfs/gathered_frontier.hpp.)
 ///
 /// The engines' hot loops stage one personalized message stream per
 /// destination every level.  Rebuilding a vector-of-vectors for that each
@@ -337,98 +338,6 @@ class A2aStaging {
   std::vector<uint8_t> enc_recv_;        // encoded received concatenation
   std::vector<uint64_t> enc_offsets_;    // encoded byte scan, nparts+1
   std::vector<size_t> enc_src_offsets_;  // received byte delimiters
-  uint64_t allocs_ = 0;
-};
-
-/// Reused allgatherv receive buffer (frontier gathers in the pull kernels).
-/// For uint64_t payloads — the frontier bitmap words every pull kernel
-/// gathers — wire encoding (on by default) routes through the word codecs of
-/// sim/encoding.hpp: dense frontiers ship their words raw, sparse frontiers
-/// ship delta-coded set-bit positions.  The decoded word layout is identical
-/// to the raw gather, so GatheredFrontier indexing is unchanged.
-template <typename T>
-class GatherBuffer {
- public:
-  /// Wire-encode subsequent gathers (only effective for uint64_t word
-  /// streams; other element types always gather raw).
-  void set_encoded(bool encoded) { encoded_ = encoded; }
-
-  /// Gather every rank's span; result valid until the next call.
-  std::span<const T> gather(Comm& comm, std::span<const T> mine) {
-    if constexpr (std::is_same_v<T, uint64_t>) {
-      if (encoded_) return gather_encoded(comm, mine);
-    }
-    comm.allgatherv_into(mine, data_, &offsets_, &allocs_);
-    return data_;
-  }
-
-  const std::vector<size_t>& offsets() const { return offsets_; }
-  uint64_t allocs() const { return allocs_; }
-
- private:
-  std::span<const T> gather_encoded(Comm& comm, std::span<const uint64_t> mine) {
-    // Every rank publishes its full word span each level, so the decoded
-    // total is shape-constant; the worst-case encoded byte reservation below
-    // (raw words + one header per rank) makes later, denser levels reuse the
-    // first level's capacity — steady-state allocs stay zero.
-    const BlockPlan plan = plan_words(mine);
-    if (enc_send_.capacity() < mine.size_bytes() + kBlockHeaderMax) {
-      ++allocs_;
-      enc_send_.reserve(mine.size_bytes() + kBlockHeaderMax);
-    }
-    enc_send_.clear();
-    enc_send_.resize(plan.bytes);
-    uint8_t* done = write_words(mine, plan.codec, enc_send_.data());
-    SUNBFS_ASSERT(done == enc_send_.data() + plan.bytes);
-    (void)done;
-    if (!mine.empty())
-      comm.note_encoding(CollectiveType::Allgather, plan.codec, 1,
-                         mine.size(), mine.size_bytes(), plan.bytes);
-    comm.allgatherv_into<uint8_t>(enc_send_, enc_recv_, &enc_offsets_,
-                                  &allocs_);
-    const size_t nranks = size_t(comm.size());
-    if (headers_.capacity() < nranks) ++allocs_;
-    headers_.assign(nranks, WordsHeader{});
-    if (offsets_.capacity() < nranks + 1) ++allocs_;
-    offsets_.assign(nranks + 1, 0);
-    size_t total = 0;
-    for (size_t s = 0; s < nranks; ++s) {
-      const size_t nb = enc_offsets_[s + 1] - enc_offsets_[s];
-      SUNBFS_CHECK_MSG(
-          read_words_header(enc_recv_.data() + enc_offsets_[s], nb,
-                            &headers_[s]),
-          "wire decode: malformed frontier block header");
-      offsets_[s] = total;
-      total += headers_[s].nwords;
-    }
-    offsets_[nranks] = total;
-    if (data_.capacity() < total) ++allocs_;
-    data_.clear();
-    data_.resize(total);
-    for (size_t s = 0; s < nranks; ++s) {
-      if (headers_[s].nwords == 0) continue;
-      const uint8_t* end = enc_recv_.data() + enc_offsets_[s + 1];
-      SUNBFS_CHECK_MSG(
-          decode_words(headers_[s], end, data_.data() + offsets_[s]),
-          "wire decode: corrupt frontier block body");
-    }
-    // Decoded totals are shape-constant, so this worst-case reservation
-    // (raw words + one header per rank) absorbs every later — possibly
-    // denser, hence larger on the wire — gather of the same shape.
-    if (enc_recv_.capacity() < total * 8 + nranks * kBlockHeaderMax) {
-      ++allocs_;
-      enc_recv_.reserve(total * 8 + nranks * kBlockHeaderMax);
-    }
-    return data_;
-  }
-
-  std::vector<T> data_;
-  std::vector<size_t> offsets_;
-  bool encoded_ = true;
-  std::vector<uint8_t> enc_send_;
-  std::vector<uint8_t> enc_recv_;
-  std::vector<size_t> enc_offsets_;
-  std::vector<WordsHeader> headers_;
   uint64_t allocs_ = 0;
 };
 

@@ -14,7 +14,7 @@
 /// bottom-up sub-iterations ship bitmap frontiers while top-down levels ship
 /// sparse vertex lists.  This header applies the same switch at the wire
 /// level of the simulator: every destination block of an A2aStaging exchange
-/// (and every published frontier span of a GatherBuffer gather) is measured
+/// (and every published span of a frontier gather) is measured
 /// against three encodings and ships as whichever is smallest:
 ///
 ///   Raw     sorted fixed-width structs — the fallback that bounds every
@@ -266,7 +266,8 @@ bool decode_block(const BlockHeader& h, const uint8_t* end, T* out) {
 
 /// --- Frontier word streams -----------------------------------------------
 ///
-/// GatherBuffer<uint64_t> payloads are bitmap words, not messages; they get
+/// Frontier gathers (bfs/gathered_frontier.hpp) publish words — bitmap
+/// words or per-vertex query masks — not messages; they get
 /// their own two codecs: Bitmap ships the words raw (dense frontiers),
 /// Varint ships delta-coded set-bit positions (sparse frontiers).  Layout:
 /// [codec byte][varint nwords][body]; empty span = zero-byte block.

@@ -23,7 +23,9 @@
 #include <string>
 #include <vector>
 
+#include "bfs/bfs1d.hpp"
 #include "bfs/bfsasync.hpp"
+#include "bfs/workspace.hpp"
 #include "bfs/engine.hpp"
 #include "graph/lattice.hpp"
 #include "graph/rmat.hpp"
@@ -307,6 +309,62 @@ TEST(AsyncDeterminism, OutputsBitIdenticalAcrossThreadsEncodingAndBackends) {
         EXPECT_EQ(got.parent, base.parent);
         EXPECT_EQ(got.depth, base.depth);
       }
+}
+
+// ------------------------------------------------ frontier-gather encoding
+
+// Frontier words this rank published encoded on allgathers, any codec.
+uint64_t encoded_gather_blocks(const sim::CommStats& stats) {
+  uint64_t blocks = 0;
+  for (int c = 0; c < sim::kWireCodecCount; ++c)
+    blocks += stats.encoding_entry(sim::CollectiveType::Allgather,
+                                   sim::WireCodec(c)).blocks;
+  return blocks;
+}
+
+// An engine's frontier gather follows that engine's own
+// ExchangeOptions::encoding, not what an earlier engine on the same
+// workspace used: after bfs1d gathers raw, bfsasync with defaults encodes;
+// bfsasync with encoding off ships raw.
+TEST(AsyncFrontierGather, FollowsTheEnginesOwnEncoding) {
+  Graph500Config cfg;
+  cfg.scale = 9;
+  cfg.seed = 47;
+  const sim::MeshShape mesh{2, 2};
+  const partition::VertexSpace space{cfg.num_vertices(), mesh.ranks()};
+  const Vertex root = graph::generate_rmat_range(cfg, 0, 1)[0].u;
+  for (bool after_raw_bfs1d : {true, false}) {
+    SCOPED_TRACE(after_raw_bfs1d ? "bfs1d raw, then bfsasync defaults"
+                                 : "bfsasync encoding off");
+    std::vector<uint64_t> gathers(4), encoded(4);
+    sim::run_spmd(mesh, [&](sim::RankContext& ctx) {
+      auto part = partition::build_1d(
+          ctx, space, rmat_slice(cfg, ctx.rank, ctx.nranks()));
+      bfs::BfsWorkspace ws(1);
+      bfs::BfsAsyncOptions opts;
+      opts.workspace = &ws;
+      if (after_raw_bfs1d) {
+        bfs::Bfs1dOptions raw;
+        raw.workspace = &ws;
+        raw.exchange.encoding = false;
+        bfs::bfs1d_run(ctx, part, root, raw);
+      } else {
+        opts.exchange.encoding = false;
+      }
+      ctx.stats.reset();
+      bfs::bfsasync_run(ctx, part, root, opts);
+      gathers[size_t(ctx.rank)] =
+          ctx.stats.entry(sim::CollectiveType::Allgather).calls;
+      encoded[size_t(ctx.rank)] = encoded_gather_blocks(ctx.stats);
+    });
+    for (int r = 0; r < mesh.ranks(); ++r) {
+      ASSERT_GT(gathers[size_t(r)], 0u) << "rank " << r;  // a pull round ran
+      if (after_raw_bfs1d)
+        EXPECT_EQ(encoded[size_t(r)], gathers[size_t(r)]) << "rank " << r;
+      else
+        EXPECT_EQ(encoded[size_t(r)], 0u) << "rank " << r;
+    }
+  }
 }
 
 // ------------------------------------------------ pinned control

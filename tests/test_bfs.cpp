@@ -540,22 +540,127 @@ TEST(ThreadDeterminism, RecoveredFaultRunIdenticalAcrossThreadCounts) {
   expect_identical_sweep(cfg, root, parents);
 }
 
-// --------------------------------------------------------- gathered frontier
+// ---------------------------------------------------------- frontier gather
 
-TEST(GatheredFrontier, AssemblesPerRankBitmaps) {
-  sim::run_spmd(sim::MeshShape{1, 3}, [&](sim::RankContext& ctx) {
-    // Rank r's bitmap has 10*(r+1) bits with bit (7*r % size) set.
-    BitVector mine(uint64_t(10 * (ctx.rank + 1)));
-    mine.set(uint64_t(7 * ctx.rank) % mine.size());
-    sim::GatherBuffer<uint64_t> buf;
-    auto g = GatheredFrontier::gather(ctx.world, mine, buf);
-    for (int r = 0; r < 3; ++r) {
-      uint64_t size = uint64_t(10 * (r + 1));
-      uint64_t set_bit = uint64_t(7 * r) % size;
-      for (uint64_t i = 0; i < size; ++i)
-        ASSERT_EQ(g.get(r, i), i == set_bit) << "rank " << r << " bit " << i;
+// Deterministic frontier content by global vertex id: a bit per vertex and a
+// query-mask word per vertex (zero for some vertices, as in MS-BFS).
+bool frontier_bit(uint64_t v) { return v % 7 == 3 || v % 64 == 63; }
+uint64_t frontier_word(uint64_t v) {
+  return v % 5 == 0 ? 0 : (v * 0x9E3779B97F4A7C15ull) | 1;
+}
+
+/// This rank's contribution in `layout`: its owned vertices' bits or words.
+std::vector<uint64_t> owned_frontier(const partition::VertexSpace& space,
+                                     int rank, FrontierLayout layout) {
+  const uint64_t begin = space.begin(rank), count = space.count(rank);
+  if (layout == FrontierLayout::Words) {
+    std::vector<uint64_t> words(count);
+    for (uint64_t i = 0; i < count; ++i) words[i] = frontier_word(begin + i);
+    return words;
+  }
+  BitVector bits(count);
+  for (uint64_t i = 0; i < count; ++i)
+    if (frontier_bit(begin + i)) bits.set(i);
+  return {bits.data(), bits.data() + bits.word_count()};
+}
+
+/// Whether `view` reads vertex v as the content above (or as zero when
+/// `zero` says its block was dropped).
+void expect_reads(const FrontierView& view, FrontierLayout layout, uint64_t v,
+                  bool zero) {
+  if (layout == FrontierLayout::Bits)
+    ASSERT_EQ(view.test(Vertex(v)), !zero && frontier_bit(v)) << "vertex " << v;
+  else
+    ASSERT_EQ(view.word(Vertex(v)), zero ? 0 : frontier_word(v))
+        << "vertex " << v;
+}
+
+const char* layout_name(FrontierLayout layout) {
+  return layout == FrontierLayout::Bits ? "bits" : "words";
+}
+
+// 1000 vertices split over 3 or 6 ranks: no block starts on a word boundary,
+// so the bit layout is shift-merged.  Every vertex reads its own bit or word
+// by global id, under both wire formats and on a second (buffer-reusing)
+// gather.
+TEST(FrontierGather, UnalignedSpaceReadsByGlobalId) {
+  for (sim::MeshShape mesh : {sim::MeshShape{1, 3}, sim::MeshShape{2, 3}}) {
+    SCOPED_TRACE(std::to_string(mesh.rows) + "x" + std::to_string(mesh.cols));
+    const partition::VertexSpace space{1000, mesh.ranks()};
+    sim::run_spmd(mesh, [&](sim::RankContext& ctx) {
+      FrontierGather gather;
+      for (FrontierLayout layout : {FrontierLayout::Bits, FrontierLayout::Words})
+        for (bool encoded : {true, false})
+          for (int round = 0; round < 2; ++round) {
+            SCOPED_TRACE(std::string(layout_name(layout)) +
+                         (encoded ? " encoded" : " raw"));
+            const auto mine = owned_frontier(space, ctx.rank, layout);
+            const FrontierView view =
+                gather.gather(ctx.world, space, mine, layout, encoded);
+            for (uint64_t v = 0; v < space.total; ++v)
+              expect_reads(view, layout, v, false);
+          }
+    });
+  }
+}
+
+// A row gather's view starts at the first vertex of the row's first rank
+// and covers exactly the row's vertices.
+TEST(FrontierGather, RowGatherStartsAtTheRowsFirstVertex) {
+  const sim::MeshShape mesh{2, 3};
+  const partition::VertexSpace space{1000, mesh.ranks()};
+  sim::run_spmd(mesh, [&](sim::RankContext& ctx) {
+    const uint64_t lo = space.begin(mesh.rank_of(ctx.row_index(), 0));
+    const uint64_t hi = space.end(mesh.rank_of(ctx.row_index(), mesh.cols - 1));
+    ASSERT_EQ(lo, ctx.row_index() == 0 ? 0u : 500u);
+    FrontierGather gather;
+    for (FrontierLayout layout : {FrontierLayout::Bits, FrontierLayout::Words}) {
+      SCOPED_TRACE(layout_name(layout));
+      const auto mine = owned_frontier(space, ctx.rank, layout);
+      const FrontierView view =
+          gather.gather(ctx.row, space, mine, layout, true);
+      for (uint64_t v = lo; v < hi; ++v) expect_reads(view, layout, v, false);
     }
   });
+}
+
+// Under the recover policy a corrupted block is dropped to empty on every
+// receiver.  It must read as all zero — on an unaligned space (assembled
+// view) and on an aligned one (whose complete blocks would be read in
+// place) — while every other block reads intact.
+TEST(FrontierGather, DroppedBlockReadsZero) {
+  for (uint64_t total : {1000u, 1024u}) {
+    SCOPED_TRACE("vertices " + std::to_string(total));
+    const sim::MeshShape mesh{2, 2};
+    const partition::VertexSpace space{total, mesh.ranks()};
+    // Rank 1's block of each of the four gathers below is corrupted.
+    sim::FaultPlan plan;
+    for (uint64_t call = 0; call < 4; ++call)
+      plan.add_bitflip(1, sim::CollectiveType::Allgather, call);
+    sim::SpmdOptions opts;
+    opts.policy = sim::FaultPolicy::Recover;
+    opts.faults = &plan;
+    auto report = sim::run_spmd(
+        sim::Topology(mesh),
+        [&](sim::RankContext& ctx) {
+          FrontierGather gather;
+          for (FrontierLayout layout :
+               {FrontierLayout::Bits, FrontierLayout::Words})
+            for (bool encoded : {true, false}) {
+              SCOPED_TRACE(std::string(layout_name(layout)) +
+                           (encoded ? " encoded" : " raw"));
+              const auto mine = owned_frontier(space, ctx.rank, layout);
+              const FrontierView view =
+                  gather.gather(ctx.world, space, mine, layout, encoded);
+              for (uint64_t v = 0; v < space.total; ++v)
+                expect_reads(view, layout, v, space.owner(Vertex(v)) == 1);
+              EXPECT_TRUE(ctx.faults.take_pending());
+            }
+        },
+        opts);
+    ASSERT_TRUE(report.ok());
+    EXPECT_EQ(report.fault_totals().injected_corruptions, 4u);
+  }
 }
 
 // ---------------------------------------------------------------- vertex cut
